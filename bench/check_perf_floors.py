@@ -35,7 +35,8 @@ EXCLUDE = ("deep_ber_streaming_bit", "deep_ber_batch_bit")
 # (e.g. a careless --write on a build without the bench), the gate fails
 # instead of silently ungating the kernel.  The stat-engine kernel backs
 # the `serdes_cli stat` path and the "stat"/"both" sweep scenarios; the
-# lanes8 kernels pin the SoA lane-tiling speedup (the batch8 floor is
+# scalar AWGN and restore kernels run on every sample of both streaming MC
+# passes; the lanes8 kernels pin the SoA lane-tiling speedup (the batch8 floor is
 # deliberately >= 3x the batch4 floor, so losing the tiling win is a
 # gate failure, not drift).
 REQUIRED = (
@@ -45,6 +46,8 @@ REQUIRED = (
     "optimize_paper_default",
     "stage_pam4_slicer_sample",
     "full_link_run_bit",
+    "stage_awgn_sample",
+    "stage_restore_sample",
     "simulator_run_batch8_lanes_bit",
     "stage_awgn_lanes8_sample",
     "stage_channel_fir64_lanes8_sample",

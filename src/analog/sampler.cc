@@ -28,7 +28,8 @@ RestoringInverter::RestoringInverter(double wn_um, double wp_um,
 
 Waveform RestoringInverter::process(const Waveform& in) const {
   Waveform out = in;
-  out.map([this](double v) { return restore_level(v); });
+  std::vector<double>& samples = out.samples();
+  restore_block(samples.data(), samples.data(), samples.size());
   OnePoleLowPass pole(bandwidth_, dt_);
   pole.process(out);
   return out;

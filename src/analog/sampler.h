@@ -29,19 +29,30 @@ class RestoringInverter {
   /// Applies the VTC (precomputed lookup) and the output pole.
   [[nodiscard]] Waveform process(const Waveform& in) const;
 
-  /// One point of the VTC lookup (the per-sample map `process` applies
-  /// before its output pole) — the streaming restoring stage uses this so
-  /// block-wise restoration is bit-identical to `process`.  Inline so the
-  /// restoring block loop folds the lookup into its traversal.
-  [[nodiscard]] double restore_level(double v) const {
+  /// The VTC lookup over a span: out[i] = the interpolated VTC at in[i]
+  /// (clamped to the rails) — the per-sample map `process` applies before
+  /// its output pole.  The streaming restoring stages call this so
+  /// block-wise restoration is bit-identical to `process`.  The LUT scale
+  /// and bounds are loaded once per span; `out` may alias `in`.
+  void restore_block(const double* in, double* out, std::size_t n) const {
+    const double* lut = vtc_lut_.data();
     const int last = static_cast<int>(vtc_lut_.size()) - 1;
-    const double scale = static_cast<double>(last) / vdd_;
-    const double x = util::clamp(v, 0.0, vdd_) * scale;
-    const int lo = x < static_cast<double>(last - 1)
-                       ? static_cast<int>(x)
-                       : last - 1;
-    const double frac = x - lo;
-    return vtc_lut_[lo] + frac * (vtc_lut_[lo + 1] - vtc_lut_[lo]);
+    const double vdd = vdd_;
+    const double scale = static_cast<double>(last) / vdd;
+    const double top = static_cast<double>(last - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = util::clamp(in[i], 0.0, vdd) * scale;
+      const int lo = x < top ? static_cast<int>(x) : last - 1;
+      const double frac = x - lo;
+      out[i] = lut[lo] + frac * (lut[lo + 1] - lut[lo]);
+    }
+  }
+
+  /// One point of the VTC lookup (restore_block on a single sample).
+  [[nodiscard]] double restore_level(double v) const {
+    double out;
+    restore_block(&v, &out, 1);
+    return out;
   }
 
   [[nodiscard]] double threshold() const { return threshold_; }

@@ -93,7 +93,7 @@ Waveform& Waveform::map(const std::function<double(double)>& f) {
 
 Waveform& Waveform::add_noise(util::Rng& rng, double sigma) {
   if (sigma > 0.0) {
-    for (double& s : samples_) s += rng.gaussian(0.0, sigma);
+    rng.add_gaussian(samples_.data(), samples_.data(), samples_.size(), sigma);
   }
   return *this;
 }

@@ -77,7 +77,7 @@ LinkSpec::Issue validate_channel(const ChannelSpec& ch, const std::string& path,
 }  // namespace
 
 LinkSpec::Issue LinkSpec::first_issue() const {
-  if (bit_rate_hz <= 0.0) return {"bit_rate_hz", "must be positive"};
+  if (!(bit_rate_hz > 0.0)) return {"bit_rate_hz", "must be positive"};
   if (samples_per_ui < 2) return {"samples_per_ui", "must be at least 2"};
   if (modulation != "nrz" && modulation != "pam4") {
     return {"modulation", "must be one of 'nrz', 'pam4'"};
@@ -97,17 +97,17 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (auto issue = validate_channel(channel, "channel", 0); !issue.ok()) {
     return issue;
   }
-  if (noise_rms_v < 0.0) return {"noise_rms_v", "must be non-negative"};
-  if (noise_reference_bandwidth_hz <= 0.0) {
+  if (!(noise_rms_v >= 0.0)) return {"noise_rms_v", "must be non-negative"};
+  if (!(noise_reference_bandwidth_hz > 0.0)) {
     return {"noise_reference_bandwidth_hz", "must be positive"};
   }
-  if (random_jitter_s < 0.0) {
+  if (!(random_jitter_s >= 0.0)) {
     return {"random_jitter_s", "must be non-negative"};
   }
-  if (sinusoidal_jitter_s < 0.0) {
+  if (!(sinusoidal_jitter_s >= 0.0)) {
     return {"sinusoidal_jitter_s", "must be non-negative"};
   }
-  if (sinusoidal_jitter_s > 0.0 && sj_freq_ratio <= 0.0) {
+  if (sinusoidal_jitter_s > 0.0 && !(sj_freq_ratio > 0.0)) {
     return {"sj_freq_ratio", "must be positive when sinusoidal jitter is on"};
   }
   if (cdr_oversampling < 2) return {"cdr_oversampling", "must be at least 2"};
@@ -118,13 +118,13 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (cdr_jitter_hysteresis < 1) {
     return {"cdr_jitter_hysteresis", "must be at least 1"};
   }
-  if (tx_ffe_deemphasis < 0.0 || tx_ffe_deemphasis >= 1.0) {
+  if (!(tx_ffe_deemphasis >= 0.0) || tx_ffe_deemphasis >= 1.0) {
     return {"tx_ffe_deemphasis", "must be in [0, 1)"};
   }
-  if (rx_ctle_boost_db < 0.0) {
+  if (!(rx_ctle_boost_db >= 0.0)) {
     return {"rx_ctle_boost_db", "must be non-negative"};
   }
-  if (rx_ctle_boost_db > 0.0 && rx_ctle_pole_hz <= 0.0) {
+  if (rx_ctle_boost_db > 0.0 && !(rx_ctle_pole_hz > 0.0)) {
     return {"rx_ctle_pole_hz", "must be positive when the CTLE is enabled"};
   }
   if (dfe_taps.size() > 8) {

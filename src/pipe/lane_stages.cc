@@ -26,15 +26,12 @@ void LaneAwgnStage::process(const BlockView& in, LaneBlock& out) {
   double* samples = out.data();
   const double sigma = sigma_;
   if (sigma > 0.0) {
-    // The gaussian draw itself stays scalar (ziggurat edge path redraws a
-    // data-dependent number of times); each lane advances its own stream
-    // one draw per sample, exactly like the scalar AwgnStage.
-    for (std::size_t i = 0; i < in.size; ++i) {
-      const double base = in.data[i];
-      double* dst = samples + i * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        dst[l] = base + rngs_[l].gaussian(0.0, sigma);
-      }
+    // Lane by lane: each lane's stream draws one gaussian per sample in
+    // sample order, exactly like the scalar AwgnStage, with its state in
+    // registers for the whole block; the lane's column of the tile is a
+    // stride-`lanes` walk.
+    for (std::size_t l = 0; l < lanes; ++l) {
+      rngs_[l].add_gaussian(in.data, samples + l, in.size, sigma, 1, lanes);
     }
   } else {
     for (std::size_t i = 0; i < in.size; ++i) {
@@ -114,11 +111,7 @@ LaneRestoreStage::LaneRestoreStage(const analog::RestoringInverter& inv,
 void LaneRestoreStage::process(const LaneView& in, LaneBlock& out) {
   out.match(in);
   double* samples = out.data();
-  const analog::RestoringInverter& inv = *inv_;
-  const std::size_t values = in.size * in.lanes;
-  for (std::size_t i = 0; i < values; ++i) {
-    samples[i] = inv.restore_level(in.data[i]);
-  }
+  inv_->restore_block(in.data, samples, in.size * in.lanes);
   pole_.process_lanes(samples, samples, in.size, in.lanes, x1_.data(),
                       y1_.data());
 }

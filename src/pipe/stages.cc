@@ -98,10 +98,7 @@ void AwgnStage::process(const BlockView& in, Block& out) {
   double* samples = out.data();
   const double sigma = sigma_;
   if (sigma > 0.0) {
-    util::Rng& rng = rng_;
-    for (std::size_t i = 0; i < in.size; ++i) {
-      samples[i] = in.data[i] + rng.gaussian(0.0, sigma);
-    }
+    rng_.add_gaussian(in.data, samples, in.size, sigma);
   } else {
     std::copy(in.data, in.data + in.size, samples);
   }
@@ -150,10 +147,7 @@ void RfiFrontEndStage::process(const BlockView& in, Block& out) {
 void RestoringStage::process(const BlockView& in, Block& out) {
   out.match(in);
   double* samples = out.data();
-  const analog::RestoringInverter& inv = *inv_;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = inv.restore_level(in.data[i]);
-  }
+  inv_->restore_block(in.data, samples, in.size);
   pole_.process_block(samples, samples, in.size);
 }
 

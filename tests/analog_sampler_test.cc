@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 namespace serdes::analog {
 namespace {
 
@@ -34,6 +39,45 @@ TEST(RestoringInverter, LutMatchesVtc) {
     EXPECT_NEAR(out.samples().back(), inv.cell().vtc(vin), 0.02)
         << "vin=" << vin;
   }
+}
+
+TEST(RestoringInverter, RestoreBlockMatchesRestoreLevelAtTheEdges) {
+  const RestoringInverter inv(8.0, 12.0, util::volts(1.8), kDt);
+  const double vdd = 1.8;
+  const double cell = vdd / 512.0;  // the LUT has 512 cells over [0, vdd]
+  // Zero of both signs, the rails, beyond both rails, and the top LUT
+  // cell (where the index is pinned so lo + 1 stays in range).
+  const std::vector<double> in = {-0.0,
+                                  0.0,
+                                  vdd,
+                                  -0.4,
+                                  -1e300,
+                                  vdd + 0.4,
+                                  1e300,
+                                  vdd - 0.5 * cell,
+                                  vdd - cell,
+                                  std::nextafter(vdd, 0.0),
+                                  0.5 * cell,
+                                  inv.threshold()};
+  std::vector<double> out(in.size());
+  inv.restore_block(in.data(), out.data(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(inv.restore_level(in[i])))
+        << "in=" << in[i];
+  }
+  // Out-of-rail inputs clamp onto the rail values.
+  EXPECT_EQ(out[3], out[1]);
+  EXPECT_EQ(out[4], out[1]);
+  EXPECT_EQ(out[5], out[2]);
+  EXPECT_EQ(out[6], out[2]);
+  EXPECT_NEAR(out[1], inv.cell().vtc(0.0), 1e-12);
+  EXPECT_NEAR(out[2], inv.cell().vtc(vdd), 1e-12);
+
+  // In place over the same span gives the same values.
+  std::vector<double> inplace = in;
+  inv.restore_block(inplace.data(), inplace.data(), inplace.size());
+  EXPECT_EQ(inplace, out);
 }
 
 TEST(DffSampler, SlicesCleanLevels) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/channel_factory.h"
 
 namespace serdes::api {
@@ -39,6 +41,48 @@ TEST(LinkSpec, ValidationCatchesBadFields) {
   spec = LinkSpec{};
   spec.payload_bits = 0;
   EXPECT_THROW((void)spec.to_link_config(), std::invalid_argument);
+}
+
+TEST(LinkSpec, ValidationRejectsNaN) {
+  // A NaN fails every ordered compare, so each range check must be
+  // written to reject it; a NaN noise_rms_v would otherwise run
+  // noise-free and serialize as null.  The conditional fields are probed
+  // with their feature switched on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* field;
+    void (*poison)(LinkSpec&, double);
+  } cases[] = {
+      {"bit_rate_hz", [](LinkSpec& s, double v) { s.bit_rate_hz = v; }},
+      {"noise_rms_v", [](LinkSpec& s, double v) { s.noise_rms_v = v; }},
+      {"noise_reference_bandwidth_hz",
+       [](LinkSpec& s, double v) { s.noise_reference_bandwidth_hz = v; }},
+      {"random_jitter_s",
+       [](LinkSpec& s, double v) { s.random_jitter_s = v; }},
+      {"sinusoidal_jitter_s",
+       [](LinkSpec& s, double v) { s.sinusoidal_jitter_s = v; }},
+      {"sj_freq_ratio",
+       [](LinkSpec& s, double v) {
+         s.sinusoidal_jitter_s = 5e-12;
+         s.sj_freq_ratio = v;
+       }},
+      {"tx_ffe_deemphasis",
+       [](LinkSpec& s, double v) { s.tx_ffe_deemphasis = v; }},
+      {"rx_ctle_boost_db",
+       [](LinkSpec& s, double v) { s.rx_ctle_boost_db = v; }},
+      {"rx_ctle_pole_hz",
+       [](LinkSpec& s, double v) {
+         s.rx_ctle_boost_db = 6.0;
+         s.rx_ctle_pole_hz = v;
+       }},
+  };
+  for (const auto& c : cases) {
+    LinkSpec spec;
+    c.poison(spec, 0.5);  // feature switches on, field still in range...
+    ASSERT_TRUE(spec.validate().empty()) << c.field << ": " << spec.validate();
+    c.poison(spec, nan);  // ...until the field itself is NaN
+    EXPECT_EQ(spec.first_issue().field, c.field);
+  }
 }
 
 TEST(LinkBuilder, RoundTripSpecToConfig) {

@@ -28,10 +28,11 @@ Exits nonzero with file:line diagnostics on any violation.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 # Contract 1: each entry is (human label, compiled regex).  Patterns use
@@ -107,25 +108,31 @@ def check_tokens(src_root: Path, repo_root: Path) -> list[str]:
     return failures
 
 
+def check_header(header: Path, src_root: Path, repo_root: Path,
+                 compiler: str) -> str | None:
+    """Compiles `#include "<header>"` alone; returns a failure or None."""
+    include = header.relative_to(src_root).as_posix()
+    result = subprocess.run(
+        [compiler, "-std=c++20", "-fsyntax-only", "-x", "c++",
+         "-I", str(src_root), "-"],
+        input=f'#include "{include}"\n', capture_output=True, text=True)
+    if result.returncode == 0:
+        return None
+    rel = header.relative_to(repo_root).as_posix()
+    detail = (result.stderr or result.stdout).strip()
+    return f"{rel}: header is not self-contained:\n{detail}"
+
+
 def check_headers_self_contained(src_root: Path, repo_root: Path,
                                  compiler: str) -> list[str]:
-    failures = []
+    # Each probe is its own compiler process, so a thread per core keeps
+    # every core busy; results are sorted, so output order is stable.
     headers = sorted(src_root.rglob("*.h"))
-    with tempfile.TemporaryDirectory() as tmp:
-        probe = Path(tmp) / "probe.cc"
-        for header in headers:
-            rel = header.relative_to(repo_root).as_posix()
-            include = header.relative_to(src_root).as_posix()
-            probe.write_text(f'#include "{include}"\n', encoding="utf-8")
-            result = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only",
-                 "-I", str(src_root), str(probe)],
-                capture_output=True, text=True)
-            if result.returncode != 0:
-                detail = (result.stderr or result.stdout).strip()
-                failures.append(
-                    f"{rel}: header is not self-contained:\n{detail}")
-    return failures
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 1) as pool:
+        results = pool.map(
+            lambda h: check_header(h, src_root, repo_root, compiler), headers)
+        return sorted(f for f in results if f is not None)
 
 
 def main() -> int:

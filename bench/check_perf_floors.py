@@ -29,7 +29,7 @@ WRITE_FACTOR = 0.75 / 3.0
 # Kernels excluded from the gate: single-shot timings (iterations == 1 at
 # small --deep-bits) are too noisy for a hard floor; the deep kernel's
 # trajectory is tracked through the uploaded artifact instead.
-EXCLUDE = ("deep_ber_streaming_bit", "deep_ber_batch_bit")
+EXCLUDE = ("deep_ber_streaming_bit",)
 
 # Kernels that MUST have a floor: if one goes missing from the floors file
 # (e.g. a careless --write on a build without the bench), the gate fails

@@ -72,11 +72,6 @@ std::string BusSpec::validate() const {
     if (auto err = lane_specs[i].validate(); !err.empty()) {
       return "lane " + std::to_string(i) + ": " + err;
     }
-    if (has_coupling() && !lane_specs[i].streaming) {
-      return "lane " + std::to_string(i) +
-             ": streaming: crosstalk coupling requires the streaming "
-             "execution path";
-    }
   }
   return {};
 }

@@ -139,11 +139,6 @@ LinkBuilder& LinkBuilder::seed(std::uint64_t seed) {
   return *this;
 }
 
-LinkBuilder& LinkBuilder::streaming(bool on) {
-  spec_.streaming = on;
-  return *this;
-}
-
 LinkBuilder& LinkBuilder::stream_block_samples(std::uint64_t samples) {
   spec_.stream_block_samples = samples;
   return *this;

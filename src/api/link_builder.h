@@ -73,9 +73,6 @@ class LinkBuilder {
   LinkBuilder& payload_bits(std::uint64_t bits);
   LinkBuilder& chunk_bits(std::uint64_t bits);
   LinkBuilder& seed(std::uint64_t seed);
-  /// Streaming block-pipeline execution (on by default); off selects the
-  /// legacy whole-waveform batch path.  Bit-identical either way.
-  LinkBuilder& streaming(bool on = true);
   /// Samples per streaming block (memory knob; results invariant).
   LinkBuilder& stream_block_samples(std::uint64_t samples);
   /// Lane-tile width for batched multi-lane execution in run_batch /

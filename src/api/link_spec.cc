@@ -57,6 +57,12 @@ LinkSpec::Issue validate_channel(const ChannelSpec& ch, const std::string& path,
   if (depth > 4) {
     return {path, "composite channel nested deeper than 4 levels"};
   }
+  if (ch.kind == "flat" && !(ch.loss_db >= 0.0)) {
+    return {path + ".loss_db", "flat channel loss must be non-negative"};
+  }
+  if (ch.kind == "rc" && !(ch.pole_hz > 0.0)) {
+    return {path + ".pole_hz", "rc channel pole must be positive"};
+  }
   if (ch.kind == "fir" && ch.fir_taps.empty()) {
     return {path + ".fir_taps", "fir channel needs at least one tap"};
   }
@@ -83,9 +89,6 @@ LinkSpec::Issue LinkSpec::first_issue() const {
     return {"modulation", "must be one of 'nrz', 'pam4'"};
   }
   if (modulation == "pam4") {
-    if (!streaming) {
-      return {"streaming", "pam4 requires the streaming execution path"};
-    }
     if (tx_ffe_deemphasis != 0.0) {
       return {"tx_ffe_deemphasis",
               "the 2-level TX FFE is incompatible with pam4"};
@@ -118,8 +121,8 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (cdr_jitter_hysteresis < 1) {
     return {"cdr_jitter_hysteresis", "must be at least 1"};
   }
-  if (!(tx_ffe_deemphasis >= 0.0) || tx_ffe_deemphasis >= 1.0) {
-    return {"tx_ffe_deemphasis", "must be in [0, 1)"};
+  if (!(tx_ffe_deemphasis >= 0.0) || tx_ffe_deemphasis >= 0.5) {
+    return {"tx_ffe_deemphasis", "must be in [0, 0.5)"};
   }
   if (!(rx_ctle_boost_db >= 0.0)) {
     return {"rx_ctle_boost_db", "must be non-negative"};
@@ -137,19 +140,11 @@ LinkSpec::Issue LinkSpec::first_issue() const {
               "must be a finite voltage within the 1.8 V supply"};
     }
   }
-  if (!dfe_taps.empty() && !streaming) {
-    return {"streaming", "the DFE requires the streaming execution path"};
-  }
   if (eq != "fixed" && eq != "trained") {
     return {"eq", "must be one of 'fixed', 'trained'"};
   }
-  if (eq == "trained") {
-    if (!streaming) {
-      return {"streaming", "eq 'trained' requires the streaming path"};
-    }
-    if (training_uis < 256 || training_uis > (1 << 20)) {
-      return {"training_uis", "must be in [256, 1048576]"};
-    }
+  if (eq == "trained" && (training_uis < 256 || training_uis > (1 << 20))) {
+    return {"training_uis", "must be in [256, 1048576]"};
   }
   if (preamble_bits < 8) return {"preamble_bits", "must be at least 8"};
   if (payload_bits == 0) return {"payload_bits", "must be positive"};
@@ -212,8 +207,6 @@ core::LinkConfig LinkSpec::to_link_config() const {
   cfg.prbs_order = prbs_order;
   cfg.noise_seed = seed;
   cfg.capture_waveforms = capture_waveforms;
-  cfg.execution = streaming ? core::LinkConfig::Execution::kStreaming
-                            : core::LinkConfig::Execution::kBatch;
   cfg.stream_block_samples =
       static_cast<std::size_t>(stream_block_samples);
   cfg.lane_batch = lane_batch;

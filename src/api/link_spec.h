@@ -70,9 +70,9 @@ struct LinkSpec {
   // ---- Modulation ----
   /// Line code: "nrz" (default, 1 bit/UI — the paper's datapath) or
   /// "pam4" (2 gray-mapped bits per UI through a 4-level TX source and a
-  /// tri-threshold sampler; the symbol rate is bit_rate_hz / 2).  PAM4
-  /// requires the streaming execution path and is incompatible with the
-  /// 2-level TX FFE (`tx_ffe_deemphasis` must stay 0).
+  /// tri-threshold sampler; the symbol rate is bit_rate_hz / 2).  PAM4 is
+  /// incompatible with the 2-level TX FFE (`tx_ffe_deemphasis` must stay
+  /// 0).
   std::string modulation = "nrz";
 
   // ---- Channel ----
@@ -94,13 +94,14 @@ struct LinkSpec {
   int cdr_jitter_hysteresis = 2;
 
   // ---- Equalization knobs (0 disables) ----
+  /// TX FFE de-emphasis alpha in [0, 0.5).
   double tx_ffe_deemphasis = 0.0;
   double rx_ctle_boost_db = 0.0;
   double rx_ctle_pole_hz = 700e6;
   /// Decision-feedback equalizer: post-cursor tap weights (volts at the
   /// sampler's summing node — the restored domain for NRZ, the CTLE
   /// output for PAM4).  Tap k is fed back from the decision k UIs ago;
-  /// empty disables the DFE.  Requires the streaming execution path.
+  /// empty disables the DFE.
   std::vector<double> dfe_taps;
   /// Equalizer adaptation mode: "fixed" (default — the knobs above are
   /// used as written) or "trained" (a sign-sign LMS training preamble of
@@ -127,20 +128,16 @@ struct LinkSpec {
   std::uint64_t seed = 1234;
 
   // ---- Execution ----
-  /// Streaming block-pipeline execution (default): every stage holds one
-  /// block of `stream_block_samples` samples, so per-lane waveform memory
-  /// is O(block) instead of O(chunk_bits * samples_per_ui).  Turning this
-  /// off selects the legacy whole-waveform batch path; both produce
-  /// bit-identical reports.
-  bool streaming = true;
-  /// Samples per streaming block; results are invariant to this value.
+  /// Samples per streaming block: every datapath stage holds one block, so
+  /// per-lane waveform memory is O(block) instead of O(chunk_bits *
+  /// samples_per_ui).  Reports are byte-identical for every block size.
   std::uint64_t stream_block_samples = 16384;
   /// Lane-tile width for batched multi-lane execution: run_batch (and the
   /// sweep runner) group lanes whose specs differ only in name/seed into
   /// SoA tiles of up to this many lanes sharing one instruction stream
   /// (core::LaneLink).  Reports are bit-identical to scalar execution —
-  /// this is purely a throughput knob.  Only streaming "mc" scenarios
-  /// tile; must be in [1, 64].
+  /// this is purely a throughput knob.  Only NRZ "mc" scenarios with
+  /// fixed EQ tile; must be in [1, 64].
   int lane_batch = 1;
   /// Opt into the dsp block-convolution engine (overlap-save FFT above the
   /// crossover) for the channel kinds that profit ("fir", "lossy_line",

@@ -25,7 +25,7 @@ bool Simulator::tile_eligible(const LinkSpec& spec) {
   // Trained lanes are excluded as well: each lane trains its own EQ from
   // its derived seed, so tiles could no longer share one instruction
   // stream over identical physics.
-  return spec.lane_batch > 1 && spec.streaming && spec.analysis == "mc" &&
+  return spec.lane_batch > 1 && spec.analysis == "mc" &&
          spec.modulation == "nrz" && spec.eq != "trained";
 }
 
@@ -154,9 +154,9 @@ std::vector<RunReport> Simulator::run_lane_tile(
   if (lane_specs.empty()) return reports;
   const LinkSpec& base = lane_specs[0];
   for (const LinkSpec& spec : lane_specs) spec.validate_or_throw();
-  if (!base.streaming || base.analysis != "mc") {
+  if (base.analysis != "mc") {
     throw std::invalid_argument(
-        "run_lane_tile: lane tiling requires streaming 'mc' scenarios");
+        "run_lane_tile: lane tiling requires 'mc' scenarios");
   }
   const std::string key = tile_key(base);
   for (std::size_t i = 1; i < lane_specs.size(); ++i) {

@@ -220,7 +220,8 @@ void apply_link_field(LinkSpec& spec, std::string_view field,
   } else if (field == "seed") {
     spec.seed = get_uint(value, path);
   } else if (field == "streaming") {
-    spec.streaming = get_bool(value, path);
+    fail(path, "'streaming' was removed: every Monte Carlo run now streams; "
+               "drop the field (stream_block_samples sizes the blocks)");
   } else if (field == "stream_block_samples") {
     spec.stream_block_samples = get_uint(value, path);
   } else if (field == "lane_batch") {
@@ -307,7 +308,6 @@ Json to_json(const LinkSpec& spec) {
   j.set("payload_bits", spec.payload_bits);
   j.set("chunk_bits", spec.chunk_bits);
   j.set("seed", spec.seed);
-  j.set("streaming", spec.streaming);
   j.set("stream_block_samples", spec.stream_block_samples);
   j.set("lane_batch", spec.lane_batch);
   j.set("dsp", spec.dsp);

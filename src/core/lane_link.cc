@@ -85,8 +85,8 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
   // ---- Pass 1: per-lane DC mean and swing over the receiver input ----------
   // The scalar path's first pass, lane-batched: the shared TX + channel
   // front runs once, the AWGN fan-out and optional CTLE run per lane, and
-  // the mean accumulates per lane in sample order (the exact batch-path
-  // sum for that lane's stream).
+  // the mean accumulates per lane in sample order (the exact
+  // Waveform::mean_value() sum for that lane's stream).
   std::vector<double> sum(nl, 0.0);
   std::vector<double> min_v(nl, std::numeric_limits<double>::infinity());
   std::vector<double> max_v(nl, -std::numeric_limits<double>::infinity());

@@ -1,14 +1,12 @@
 #include "core/link.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "channel/equalizer.h"
-#include "channel/noise.h"
 #include "digital/framing.h"
 #include "pipe/pam_stages.h"
 #include "pipe/stages.h"
@@ -24,29 +22,15 @@ SerDesLink::SerDesLink(const LinkConfig& config,
 LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
   // Receiver-input AWGN: a fresh seed per run keeps repeated runs
   // statistically independent while the whole experiment stays
-  // deterministic.  Both execution paths consume the same per-run seed.
+  // deterministic.
   const std::uint64_t noise_run_seed =
       config_.noise_seed + 100 + run_counter_++;
-  if (config_.execution == LinkConfig::Execution::kBatch) {
-    return run_batch(payload, noise_run_seed);
-  }
   return config_.modulation == LinkConfig::Modulation::kPam4
              ? run_streaming_pam4(payload, noise_run_seed)
              : run_streaming(payload, noise_run_seed);
 }
 
-bool SerDesLink::has_xtalk() const {
-  return std::any_of(config_.xtalk.begin(), config_.xtalk.end(),
-                     [](const XtalkPath& p) { return p.gain != 0.0; });
-}
-
 namespace {
-
-/// Per-sample AWGN sigma — the shared config helper, aliased so the two
-/// execution paths below read naturally.
-double noise_sigma(const LinkConfig& config) {
-  return per_sample_noise_sigma(config);
-}
 
 /// Builds the crosstalk-injection paths for one pipeline pass.  All lanes
 /// of a bus carry the same framed PRBS stream, so an aggressor's launch
@@ -72,55 +56,6 @@ std::vector<pipe::XtalkInjectStage::Path> build_xtalk_paths(
 
 }  // namespace
 
-LinkResult SerDesLink::run_batch(const std::vector<std::uint8_t>& payload,
-                                 std::uint64_t noise_run_seed) {
-  if (config_.modulation == LinkConfig::Modulation::kPam4) {
-    throw std::invalid_argument(
-        "SerDesLink: pam4 requires the streaming execution path");
-  }
-  if (has_xtalk()) {
-    throw std::invalid_argument(
-        "SerDesLink: crosstalk injection requires the streaming execution "
-        "path");
-  }
-  if (!config_.dfe_taps.empty()) {
-    throw std::invalid_argument(
-        "SerDesLink: the DFE requires the streaming execution path");
-  }
-  LinkResult result;
-  result.payload_bits_sent = payload.size();
-
-  if (config_.tx_ffe_deemphasis != 0.0) {
-    // FFE path: pre-distorted multi-level launch instead of the plain
-    // rail-to-rail driver waveform.
-    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-        config_.tx_ffe_deemphasis, config_.driver.vdd);
-    result.tx_out =
-        ffe.shape(tx_.wire_bits(payload), config_.bit_rate,
-                  config_.samples_per_ui, tx_.driver().output_rise_time());
-  } else {
-    result.tx_out = tx_.transmit_bits(payload);
-  }
-  result.channel_out = channel_->transmit(result.tx_out);
-
-  channel::AwgnSource noise(noise_sigma(config_), noise_run_seed);
-  noise.apply(result.channel_out);
-  result.rx_swing_pp = result.channel_out.peak_to_peak();
-
-  if (config_.rx_ctle_boost.value() > 0.0) {
-    const channel::RxCtle ctle(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                               config_.sample_period());
-    result.rx = rx_.receive(ctle.equalize(result.channel_out));
-  } else {
-    result.rx = rx_.receive(result.channel_out);
-  }
-  result.aligned = result.rx.aligned;
-  result.decision_threshold = rx_.decision_threshold();
-
-  finalize(payload, result);
-  return result;
-}
-
 LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
                                      std::uint64_t noise_run_seed) {
   LinkResult result;
@@ -131,8 +66,9 @@ LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
   const util::Second ui = config_.unit_interval();
   const util::Second rise = tx_.driver().output_rise_time();
 
-  // Per-bit launch levels and stream time base, matching the batch TX
-  // exactly: plain NRZ carries the driver delay, the FFE path launches the
+  // Per-bit launch levels and stream time base, matching the whole-waveform
+  // TX exactly: plain NRZ carries the driver delay (as
+  // Transmitter::transmit_bits does), the FFE path launches the
   // pre-distorted levels at t0 = 0 (as TxFfe::shape does).
   std::vector<double> levels(bits.size());
   util::Second stream_t0 = util::seconds(0.0);
@@ -162,7 +98,7 @@ LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
   const util::Second dt = source.dt();
   const std::size_t block =
       std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = noise_sigma(config_);
+  const double sigma = per_sample_noise_sigma(config_);
   const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
   const bool capture = config_.capture_waveforms;
   const std::size_t capture_cap = config_.capture_max_samples > 0
@@ -174,7 +110,7 @@ LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
   // steady state); streaming can only know it after a full pass.  The first
   // pass runs the cheap front half of the datapath (TX levels, channel
   // IIR/FIR state, noise, CTLE) block by block, accumulating the mean in
-  // sample order — the exact sum the batch path's mean_value() computes —
+  // sample order — the exact sum Waveform::mean_value() computes —
   // plus the pre-CTLE min/max for rx_swing_pp.  The second pass re-runs the
   // same deterministic front half and carries on through the RFI, restoring
   // stage, sampler and CDR.
@@ -366,7 +302,7 @@ LinkResult SerDesLink::run_streaming_pam4(
   const util::Second dt = source.dt();
   const std::size_t block =
       std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = noise_sigma(config_);
+  const double sigma = per_sample_noise_sigma(config_);
   const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
   const bool capture = config_.capture_waveforms;
   const std::size_t capture_cap = config_.capture_max_samples > 0
@@ -543,20 +479,12 @@ void SerDesLink::finalize_result(const LinkConfig& config,
     result.ber = static_cast<double>(result.bit_errors) /
                  static_cast<double>(result.payload_bits_compared);
   }
+  // The capture taps already stop at capture_max_samples.
   if (!config.capture_waveforms) {
     result.tx_out = {};
     result.channel_out = {};
     result.rx.rfi_out = {};
     result.rx.restored = {};
-  } else if (config.capture_max_samples > 0) {
-    // Trim to the diagnostic window (the streaming taps never retained
-    // more; the batch path materialized everything, so cut it here to keep
-    // the two paths' observable results identical).
-    const std::size_t cap = config.capture_max_samples;
-    for (analog::Waveform* w : {&result.tx_out, &result.channel_out,
-                                &result.rx.rfi_out, &result.rx.restored}) {
-      if (w->size() > cap) w->samples().resize(cap);
-    }
   }
 }
 

@@ -47,10 +47,9 @@ class SerDesLink {
   /// The link takes ownership of the channel model.
   SerDesLink(const LinkConfig& config, std::unique_ptr<channel::Channel> ch);
 
-  /// Transmits `payload` and compares what the receiver recovered.
-  /// Dispatches on LinkConfig::execution: the streaming block pipeline
-  /// (default, O(block) waveform memory) or the legacy whole-waveform
-  /// batch path.  Both are bit-identical.
+  /// Transmits `payload` and compares what the receiver recovered.  The
+  /// datapath streams in blocks of LinkConfig::stream_block_samples (O(block)
+  /// waveform memory); NRZ and PAM4 each run their own sampler/CDR sink.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// Convenience: PRBS payload of `nbits` using the config's pattern order.
@@ -69,24 +68,18 @@ class SerDesLink {
     config_.capture_waveforms = capture;
   }
 
-  /// Shared tail of every run path (including the lane-batched LaneLink):
+  /// Shared tail of every run (NRZ, PAM4 and the lane-batched LaneLink):
   /// payload comparison, truncated-tail error accounting, BER, and
-  /// waveform dropping/trimming per `config`'s capture settings.
+  /// waveform dropping per `config`'s capture setting.
   static void finalize_result(const LinkConfig& config,
                               const std::vector<std::uint8_t>& payload,
                               LinkResult& result);
 
  private:
-  [[nodiscard]] LinkResult run_batch(const std::vector<std::uint8_t>& payload,
-                                     std::uint64_t noise_run_seed);
   [[nodiscard]] LinkResult run_streaming(
       const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
   [[nodiscard]] LinkResult run_streaming_pam4(
       const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
-  /// True when any configured crosstalk path has a nonzero gain (zero-gain
-  /// paths are dropped so a zero-coupling bus lane stays byte-identical to
-  /// a standalone link).
-  [[nodiscard]] bool has_xtalk() const;
   void finalize(const std::vector<std::uint8_t>& payload, LinkResult& result) {
     finalize_result(config_, payload, result);
   }

@@ -24,7 +24,8 @@ OversamplingCdr::OversamplingCdr(const CdrConfig& config) : config_(config) {
   }
   votes_.assign(static_cast<std::size_t>(config.oversampling), 0);
   // Ring holds enough history for the glitch majority around a decision
-  // that happens G samples in the past.
+  // that lies up to G + N/2 samples in the past (a negative phase step can
+  // leave one due decision behind).
   ring_.assign(static_cast<std::size_t>(4 * config.oversampling), 0);
   // Start sampling mid-UI: with no edges seen yet this is the neutral guess.
   pick_ = config.oversampling / 2;

@@ -49,15 +49,16 @@ class OversamplingCdr {
     }
     last_sample_ = sample;
 
-    // Decide the bit whose centre sample is `count_ - G` once its trailing
-    // glitch-filter context has arrived.
+    // Decide the bit centred on `next_decision_` once its trailing
+    // glitch-filter context has arrived (newest sample `count_`).  A
+    // negative phase step can leave the decision up to N/2 samples behind
+    // `count_ - G`; it is still decided — one push late, its context still
+    // in the ring — rather than skipped, which would stall recovery for
+    // good.
     const auto g = static_cast<std::uint64_t>(config_.glitch_filter_radius);
-    if (count_ >= g) {
-      const std::uint64_t center = count_ - g;
-      if (center == next_decision_) {
-        recovered_.push_back(majority_at(center) ? 1 : 0);
-        next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
-      }
+    if (count_ >= g && count_ - g >= next_decision_) {
+      recovered_.push_back(majority_at(next_decision_) ? 1 : 0);
+      next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
     }
 
     ++count_;
@@ -89,13 +90,10 @@ class OversamplingCdr {
     last_sample_ = sample;
 
     const auto g = static_cast<std::uint64_t>(config_.glitch_filter_radius);
-    if (count_ >= g) {
-      const std::uint64_t center = count_ - g;
-      if (center == next_decision_) {
-        recovered_.push_back(majority_at(center) ? 1 : 0);
-        aux_recovered_.push_back(aux_majority_at(center) ? 1 : 0);
-        next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
-      }
+    if (count_ >= g && count_ - g >= next_decision_) {
+      recovered_.push_back(majority_at(next_decision_) ? 1 : 0);
+      aux_recovered_.push_back(aux_majority_at(next_decision_) ? 1 : 0);
+      next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
     }
 
     ++count_;

@@ -6,7 +6,7 @@
 // receiver sink consumes them incrementally.  A `BlockView` is a non-owning
 // window onto the logical sample stream — it knows its absolute position
 // (`start_index`) and the stream-level time base, so stages and sinks can
-// reproduce the exact arithmetic of the whole-waveform batch path.
+// reproduce the exact arithmetic of the whole-waveform models.
 #pragma once
 
 #include <cstdint>

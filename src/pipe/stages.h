@@ -1,10 +1,11 @@
 // Concrete streaming stages for the TX -> channel -> noise -> EQ -> RX
 // datapath.
 //
-// Each stage reproduces the arithmetic of its whole-waveform batch
-// counterpart exactly, sample by sample, while carrying state (filter
-// memories, RNG streams, rolling sample windows) across blocks — so a
-// stream processed at any block size is bit-identical to the batch path.
+// Each stage reproduces the arithmetic of its whole-waveform counterpart
+// exactly, sample by sample, while carrying state (filter memories, RNG
+// streams, rolling sample windows) across blocks — so a stream processed
+// at any block size is bit-identical to the whole-waveform models (the
+// tests' reference run).
 //
 //   LevelPulseSource   — NRZ / TX-FFE pulse shaper (Waveform::nrz and
 //                        TxFfe::shape, blockwise)
@@ -129,9 +130,9 @@ class RfiFrontEndStage final : public Stage {
   RfiFrontEndStage(const analog::RfiStage& rfi, util::Second dt)
       : rfi_(&rfi), lpf_(rfi.bandwidth(), dt) {}
 
-  /// The full-stream DC mean the batch path subtracts; must be set before
-  /// the first block (the link driver measures it in a first streaming
-  /// pass over the cheap front half of the datapath).
+  /// The full-stream DC mean the whole-waveform RFI model subtracts; must
+  /// be set before the first block (SerDesLink measures it in a first
+  /// streaming pass over the cheap front half of the datapath).
   void set_mean(double mean) { delta_ = -mean; }
 
   void process(const BlockView& in, Block& out) override;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "api/channel_factory.h"
+#include "api/simulator.h"
 
 namespace serdes::api {
 namespace {
@@ -78,11 +79,56 @@ TEST(LinkSpec, ValidationRejectsNaN) {
   };
   for (const auto& c : cases) {
     LinkSpec spec;
-    c.poison(spec, 0.5);  // feature switches on, field still in range...
+    c.poison(spec, 0.25);  // feature switches on, field still in range...
     ASSERT_TRUE(spec.validate().empty()) << c.field << ": " << spec.validate();
     c.poison(spec, nan);  // ...until the field itself is NaN
     EXPECT_EQ(spec.first_issue().field, c.field);
   }
+}
+
+TEST(LinkSpec, ValidationRejectsValuesTheDatapathCannotRun) {
+  // Each value here used to pass validation and then throw from a model
+  // constructor at run time, with an error that named no spec field.  It
+  // must be rejected up front at its own path, at any composite depth.
+  const struct {
+    const char* path;
+    void (*poison)(LinkSpec&);
+  } cases[] = {
+      {"tx_ffe_deemphasis", [](LinkSpec& s) { s.tx_ffe_deemphasis = 0.5; }},
+      {"tx_ffe_deemphasis", [](LinkSpec& s) { s.tx_ffe_deemphasis = 0.99; }},
+      {"channel.loss_db",
+       [](LinkSpec& s) { s.channel = ChannelSpec::flat(-1.0); }},
+      {"channel.stages[1].stages[0].loss_db",
+       [](LinkSpec& s) {
+         s.channel = ChannelSpec::cascade(
+             {ChannelSpec::rc(3e9),
+              ChannelSpec::cascade({ChannelSpec::flat(-3.0)})});
+       }},
+      {"channel.pole_hz", [](LinkSpec& s) { s.channel = ChannelSpec::rc(0.0); }},
+      {"channel.pole_hz",
+       [](LinkSpec& s) { s.channel = ChannelSpec::rc(-2e9); }},
+      {"channel.stages[0].pole_hz",
+       [](LinkSpec& s) {
+         s.channel = ChannelSpec::cascade(
+             {ChannelSpec::rc(0.0), ChannelSpec::flat(6.0)});
+       }},
+  };
+  for (const auto& c : cases) {
+    LinkSpec spec;
+    c.poison(spec);
+    EXPECT_EQ(spec.first_issue().field, c.path) << spec.validate();
+    EXPECT_THROW((void)spec.to_link_config(), std::invalid_argument)
+        << c.path;
+  }
+  // The edges of the accepted ranges still build and run.
+  LinkSpec edge;
+  edge.tx_ffe_deemphasis = 0.49;
+  edge.channel = ChannelSpec::cascade(
+      {ChannelSpec::flat(0.0), ChannelSpec::rc(1.0)});
+  edge.payload_bits = 256;
+  edge.chunk_bits = 256;
+  ASSERT_TRUE(edge.validate().empty()) << edge.validate();
+  EXPECT_NO_THROW((void)Simulator().run(edge));
 }
 
 TEST(LinkBuilder, RoundTripSpecToConfig) {

@@ -367,10 +367,6 @@ TEST(ModulationField, ValidationDiagnostics) {
   LinkSpec odd = LinkBuilder().name("m").modulation("pam4").build_spec();
   odd.preamble_bits = 255;
   EXPECT_EQ(odd.first_issue().field, "preamble_bits");
-
-  LinkSpec batch = LinkBuilder().name("m").modulation("pam4").build_spec();
-  batch.streaming = false;
-  EXPECT_EQ(batch.first_issue().field, "streaming");
 }
 
 TEST(ModulationField, MisspelledKeyGetsDidYouMean) {

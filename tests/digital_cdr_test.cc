@@ -152,6 +152,61 @@ TEST(Cdr, RecoveredRateIsOnePerUi) {
               static_cast<double>(bits.size()), 5.0);
 }
 
+// A -1 phase step accepted at a window boundary while the next push is due
+// to decide a bit moves that decision behind the push's centre sample.  It
+// must still be decided: recovery continues at one bit per UI instead of
+// stalling for the rest of the stream.  N = 4 keeps every proposal off a
+// rounding tie: edges at bin 1 lock phase 3 (whose decision falls due right
+// after each 64-sample window), edges at bin 0 then pull it to phase 2.
+void expect_recovery_survives_late_step(bool dual_rail) {
+  CdrConfig cfg;
+  cfg.oversampling = 4;
+  cfg.window_uis = 16;
+  cfg.glitch_filter_radius = 1;
+  cfg.jitter_hysteresis = 1;
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs15);
+  const auto lock_bits = prbs.next_bits(256);
+  const auto step_bits = prbs.next_bits(1024);
+  OversamplingCdr cdr(cfg);
+  const auto feed = [&](const std::vector<std::uint8_t>& samples) {
+    for (const std::uint8_t s : samples) {
+      if (dual_rail) {
+        cdr.push2(s != 0, s == 0);
+      } else {
+        cdr.push(s != 0);
+      }
+    }
+  };
+  feed(oversample(lock_bits, 4, 1));
+  ASSERT_EQ(cdr.decision_phase(), 3);
+  const std::uint64_t updates = cdr.phase_updates();
+  feed(oversample(step_bits, 4, 0));
+  ASSERT_EQ(cdr.decision_phase(), 2);
+  ASSERT_EQ(cdr.phase_updates(), updates + 1);
+
+  const auto& recovered = cdr.recovered();
+  EXPECT_NEAR(static_cast<double>(recovered.size()),
+              static_cast<double>(lock_bits.size() + step_bits.size()), 2.0);
+  const std::vector<std::uint8_t> tail(step_bits.begin() + 64,
+                                       step_bits.end() - 8);
+  EXPECT_TRUE(contains(recovered, tail));
+  if (dual_rail) {
+    const auto& aux = cdr.aux_recovered();
+    ASSERT_EQ(aux.size(), recovered.size());
+    for (std::size_t i = 0; i < aux.size(); ++i) {
+      ASSERT_NE(aux[i], recovered[i]) << "bit " << i;
+    }
+  }
+}
+
+TEST(Cdr, NegativeStepWithDecisionDueKeepsRecoveringPush) {
+  expect_recovery_survives_late_step(false);
+}
+
+TEST(Cdr, NegativeStepWithDecisionDueKeepsRecoveringPush2) {
+  expect_recovery_survives_late_step(true);
+}
+
 // Property: for every static phase offset the CDR converges and the
 // payload tail survives.
 class CdrPhaseTest : public ::testing::TestWithParam<int> {};

@@ -11,6 +11,7 @@
 
 #include "analog/filters.h"
 #include "api/api.h"
+#include "batch_reference.h"
 #include "channel/channel.h"
 #include "core/link.h"
 #include "dsp/convolution.h"
@@ -213,12 +214,8 @@ TEST(DspChannels, BitDecisionsMatchExactPathEndToEnd) {
 TEST(DspChannels, StreamingMatchesBatchBerWithDspEnabled) {
   api::LinkSpec spec = dsp_link_spec();
   spec.dsp = true;
-  spec.streaming = true;
-  api::LinkSpec batch = spec;
-  batch.streaming = false;
-  const api::Simulator sim;
-  const api::RunReport s = sim.run(spec);
-  const api::RunReport b = sim.run(batch);
+  const api::RunReport s = api::Simulator().run(spec);
+  const api::RunReport b = testing::batch_reference_report(spec);
   EXPECT_EQ(s.bits, b.bits);
   EXPECT_EQ(s.errors, b.errors);
   EXPECT_EQ(s.aligned, b.aligned);

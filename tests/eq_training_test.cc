@@ -63,25 +63,29 @@ TEST(EqTraining, NoIsiChannelTrainsNearZeroTaps) {
 }
 
 TEST(EqTraining, PostCursorChannelConverges) {
-  // One brutal post-cursor: h = [0.7, 0.3] leaves the untrained link
-  // near coin-flip BER (thousands of errors in 8k bits), and the ISI is
-  // beyond the DFE clamp's reach — convergence must engage the TX FFE
-  // de-emphasis, the outer loop's escalation path.  The trained link
-  // runs clean.
+  // One heavy post-cursor: h = [0.7, 0.3] narrows the authored link's
+  // statistical eye, though the restoring stage still recovers every bit
+  // at this noise.  Training must open the eye, and on this channel the
+  // outer loop gets there by escalating to the TX FFE de-emphasis (the
+  // trained DFE taps stay near zero).  The trained link runs clean.
   const auto spec = LinkBuilder()
                         .channel(api::ChannelSpec::fir({0.7, 0.3}))
                         .noise_rms(0.003)
                         .payload_bits(8192)
+                        .analysis("both")
                         .build_spec();
   const Simulator sim;
   const RunReport fixed = sim.run(spec);
-  EXPECT_GT(fixed.errors, 1000u);
+  ASSERT_TRUE(fixed.stat.has_value());
 
   const auto trained_spec =
       LinkBuilder(spec).eq("trained").training_uis(4096).build_spec();
   const RunReport trained = sim.run(trained_spec);
   EXPECT_TRUE(trained.aligned);
   EXPECT_EQ(trained.errors, 0u);
+  ASSERT_TRUE(trained.stat.has_value());
+  EXPECT_GT(trained.stat->eye_height_v, 1.1 * fixed.stat->eye_height_v)
+      << "training did not open the ISI-narrowed eye";
   ASSERT_TRUE(trained.training.has_value());
   const auto& training = *trained.training;
   EXPECT_GT(training.tx_ffe_deemphasis, 0.0)
@@ -155,13 +159,6 @@ TEST(EqTraining, BatchReportsInvariantToThreadCount) {
               api::to_json(threaded[i]).dump(2))
         << "lane " << i << " drifted across thread counts";
   }
-}
-
-TEST(EqTraining, TrainedRequiresStreamingPath) {
-  auto spec = LinkBuilder(lossy_spec(4096)).eq("trained").build_spec();
-  spec.streaming = false;
-  EXPECT_NE(api::validate_spec_with_paths(spec), "");
-  EXPECT_THROW((void)Simulator().run(spec), std::invalid_argument);
 }
 
 // ---- DFE / glitch-filter interaction ---------------------------------

@@ -38,6 +38,28 @@ TEST(Integration, LinkOverCompositeChannel) {
   EXPECT_TRUE(r.error_free());
 }
 
+TEST(Integration, CdrKeepsRecoveringAfterNegativePhaseSteps) {
+  // Regression: on this FFE link the CDR takes a negative phase step while
+  // a bit decision is due.  Recovery used to stop there, the run still
+  // reported aligned, and the rest of each chunk was charged as a
+  // truncated tail (8126 of 8188 bits in error against a clean stat eye).
+  api::LinkSpec spec;
+  spec.channel = api::ChannelSpec::lossy_line(6.0, 4.0, 2.0);
+  spec.tx_ffe_deemphasis = 0.3;
+  spec.noise_rms_v = 0.001;
+  spec.seed = 77;
+  spec.payload_bits = 8192;
+  spec.chunk_bits = 4096;
+  spec.analysis = "both";
+  const api::RunReport r = api::Simulator().run(spec);
+  EXPECT_TRUE(r.aligned);
+  EXPECT_EQ(r.bits, spec.payload_bits);
+  EXPECT_EQ(r.errors, 0u);
+  ASSERT_TRUE(r.stat.has_value());
+  EXPECT_TRUE(r.stat->cross_checked);
+  EXPECT_TRUE(r.stat->consistent);
+}
+
 TEST(Integration, PcieClassRatesRunClean) {
   // Discussion section: PCIe 1.x-4.0 lanes need 250 Mbps - 2 Gbps.  The
   // whole rate sweep runs as one multi-lane batch.

@@ -119,18 +119,14 @@ TEST(LaneBatch, CapturedWaveformsMatchScalarByteForByte) {
 }
 
 TEST(LaneBatch, MixedEligibilityBatchStaysBitIdentical) {
-  // Tiled lanes, a non-streaming lane and a scalar (lane_batch = 1) lane
-  // interleaved in one batch: grouping must keep report order and
-  // per-lane seed derivation exactly as the scalar path computes them.
+  // Tiled lanes and a scalar (lane_batch = 1) lane interleaved in one
+  // batch: grouping must keep report order and per-lane seed derivation
+  // exactly as the scalar path computes them.
   std::vector<LinkSpec> specs = lane_specs(ChannelSpec::flat(34.0), 4);
   LinkSpec batchless = tile_spec(ChannelSpec::flat(34.0));
   batchless.name = "scalar";
   batchless.lane_batch = 1;
   specs.insert(specs.begin() + 1, batchless);
-  LinkSpec unstreamed = tile_spec(ChannelSpec::flat(34.0));
-  unstreamed.name = "batch_path";
-  unstreamed.streaming = false;
-  specs.push_back(unstreamed);
 
   Simulator::Options scalar_options;
   scalar_options.lane_tiling = false;
@@ -206,12 +202,9 @@ TEST(LaneBatch, ValidationRejectsOutOfRangeLaneBatch) {
   EXPECT_NO_THROW(spec.validate_or_throw());
 }
 
-TEST(LaneBatch, TileEligibilityRequiresStreamingMonteCarlo) {
+TEST(LaneBatch, TileEligibilityRequiresMonteCarlo) {
   LinkSpec spec = tile_spec(ChannelSpec::flat(34.0));
   EXPECT_TRUE(Simulator::tile_eligible(spec));
-  spec.streaming = false;
-  EXPECT_FALSE(Simulator::tile_eligible(spec));
-  spec.streaming = true;
   spec.analysis = "stat";
   EXPECT_FALSE(Simulator::tile_eligible(spec));
   spec.analysis = "mc";

@@ -224,17 +224,17 @@ TEST(LintRules, IneffectiveField) {
   expect_finding(Linter().lint(spec), "ineffective-field",
                  "$.stat_target_ber", Severity::kInfo);
   spec = api::LinkSpec{};
-  spec.lane_batch = 8;  // tiles only streaming Monte Carlo lanes
-  spec.streaming = false;
-  expect_finding(Linter().lint(spec), "ineffective-field", "$.lane_batch",
-                 Severity::kInfo);
-  spec = api::LinkSpec{};
   spec.lane_batch = 8;
   spec.analysis = "stat";
   expect_finding(Linter().lint(spec), "ineffective-field", "$.lane_batch",
                  Severity::kInfo);
   spec = api::LinkSpec{};
-  spec.lane_batch = 8;  // streaming "mc": tiling live, no finding
+  spec.lane_batch = 8;  // trained lanes each train their own EQ: no tiling
+  spec.eq = "trained";
+  expect_finding(Linter().lint(spec), "ineffective-field", "$.lane_batch",
+                 Severity::kInfo);
+  spec = api::LinkSpec{};
+  spec.lane_batch = 8;  // NRZ "mc": tiling live, no finding
   expect_no_finding(Linter().lint(spec), "ineffective-field");
 }
 

@@ -1,13 +1,19 @@
 // Streaming-equivalence suite: the block pipeline must be bit-identical to
-// the whole-waveform batch path — per channel kind, per block size, and
-// end-to-end through SerDesLink and api::Simulator.
+// the whole-waveform reference (tests/batch_reference.h) — per channel
+// kind, per block size, and end-to-end through SerDesLink and
+// api::Simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
+#include "api/bus_spec.h"
+#include "api/spec_json.h"
+#include "batch_reference.h"
 #include "channel/channel.h"
 #include "core/link.h"
 #include "pipe/stage.h"
@@ -129,8 +135,8 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   EXPECT_EQ(sink.cdr().recovered(), cdr.recover(samples));
 }
 
-/// End-to-end: batch and streaming LinkResults must match exactly,
-/// including captured waveforms and CDR diagnostics.
+/// End-to-end: the streamed LinkResult must match the whole-waveform
+/// reference exactly, including captured waveforms and CDR diagnostics.
 void expect_identical_runs(core::LinkConfig cfg, const api::ChannelSpec& ch,
                            std::size_t payload_bits,
                            std::size_t block_samples) {
@@ -138,12 +144,9 @@ void expect_identical_runs(core::LinkConfig cfg, const api::ChannelSpec& ch,
   const auto payload = prbs.next_bits(payload_bits);
 
   cfg.capture_waveforms = true;
-  cfg.execution = core::LinkConfig::Execution::kBatch;
-  core::SerDesLink batch_link(
-      cfg, api::ChannelFactory::instance().create(ch, cfg));
-  const core::LinkResult batch = batch_link.run(payload);
+  const core::LinkResult batch = testing::batch_reference_run(
+      cfg, *api::ChannelFactory::instance().create(ch, cfg), payload);
 
-  cfg.execution = core::LinkConfig::Execution::kStreaming;
   cfg.stream_block_samples = block_samples;
   core::SerDesLink stream_link(
       cfg, api::ChannelFactory::instance().create(ch, cfg));
@@ -194,14 +197,12 @@ TEST(SimulatorStreaming, ReportsMatchBatchExactly) {
   spec.payload_bits = 8192;
   spec.chunk_bits = 2048;
   spec.channel = api::ChannelSpec::flat(34.0);
-  spec.streaming = false;
   const api::Simulator sim;
-  const api::RunReport batch = sim.run(spec);
-
-  spec.streaming = true;
   for (std::uint64_t block : {std::uint64_t{1024}, std::uint64_t{16384}}) {
     spec.stream_block_samples = block;
+    const api::RunReport batch = testing::batch_reference_report(spec);
     const api::RunReport streamed = sim.run(spec);
+    EXPECT_EQ(api::to_json(batch).dump(), api::to_json(streamed).dump());
     EXPECT_EQ(batch.aligned, streamed.aligned);
     EXPECT_EQ(batch.bits, streamed.bits);
     EXPECT_EQ(batch.errors, streamed.errors);
@@ -244,10 +245,14 @@ TEST(SimulatorStreaming, BatchLanesMatchAcrossExecutionModes) {
     specs[i].chunk_bits = 1024;
   }
   const api::Simulator sim;
-  auto batch_specs = specs;
-  for (auto& s : batch_specs) s.streaming = false;
-  const auto batch = sim.run_batch(batch_specs, 2);
   const auto streamed = sim.run_batch(specs, 2);
+  // The reference runs each lane on the seed run_batch derives for it.
+  std::vector<api::RunReport> batch;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    api::LinkSpec lane = specs[i];
+    lane.seed = api::Simulator::derive_lane_seed(lane.seed, i);
+    batch.push_back(testing::batch_reference_report(lane));
+  }
   ASSERT_EQ(batch.size(), streamed.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].errors, streamed[i].errors) << i;
@@ -257,22 +262,122 @@ TEST(SimulatorStreaming, BatchLanesMatchAcrossExecutionModes) {
   }
 }
 
+// ---- Block-size contract ---------------------------------------------------
+// Every Monte Carlo run streams, and the block size is a memory knob only:
+// the report must be byte-identical for every block size, on every
+// datapath the whole-waveform reference does not model.
+
+/// Block sizes from per-sample to one block per chunk.
+constexpr std::uint64_t kBlockSizes[] = {1, 7, 4096, std::uint64_t{1} << 20};
+
+/// Report JSON with the spec's block size pinned to its default, so only
+/// what the datapath produced can differ.
+std::string block_neutral_json(api::RunReport report) {
+  report.spec.stream_block_samples = api::LinkSpec{}.stream_block_samples;
+  return api::to_json(report).dump(2);
+}
+
+std::string block_neutral_json(api::BusReport report) {
+  for (auto& lane : report.lanes) {
+    lane.spec.stream_block_samples = api::LinkSpec{}.stream_block_samples;
+  }
+  return api::to_json(report).dump(2);
+}
+
+api::LinkSpec short_link(api::ChannelSpec channel) {
+  api::LinkSpec spec;
+  spec.channel = std::move(channel);
+  spec.payload_bits = 1024;
+  spec.chunk_bits = 512;
+  return spec;
+}
+
+/// The bus_ci operating point (examples/specs/bus_ci.json), shortened.
+api::LinkSpec short_pam4_link() {
+  api::LinkSpec spec = short_link(api::ChannelSpec::flat(4.0));
+  spec.modulation = "pam4";
+  spec.preamble_bits = 256;
+  spec.noise_rms_v = 0.005;
+  return spec;
+}
+
+TEST(StreamBlockSize, ReportsAreByteIdenticalAcrossBlockSizes) {
+  const struct {
+    const char* name;
+    api::LinkSpec (*make)();
+  } cases[] = {
+      {"pam4", short_pam4_link},
+      {"fixed_dfe",
+       [] {
+         api::LinkSpec s =
+             short_link(api::ChannelSpec::lossy_line(8.0, 12.0, 4.0));
+         s.dfe_taps = {-0.05, -0.02};
+         return s;
+       }},
+      {"trained_eq",
+       [] {
+         api::LinkSpec s =
+             short_link(api::ChannelSpec::lossy_line(8.0, 12.0, 4.0));
+         s.eq = "trained";
+         s.training_uis = 512;
+         return s;
+       }},
+      {"ffe_ctle_lossy_line",
+       [] {
+         api::LinkSpec s =
+             short_link(api::ChannelSpec::lossy_line(6.0, 10.0, 6.0));
+         s.tx_ffe_deemphasis = 0.15;
+         s.rx_ctle_boost_db = 4.0;
+         return s;
+       }},
+  };
+  const api::Simulator sim;
+  for (const auto& c : cases) {
+    api::LinkSpec spec = c.make();
+    const api::RunReport base = sim.run(spec);
+    ASSERT_TRUE(base.aligned) << c.name;
+    ASSERT_GE(base.bits, spec.payload_bits - 8) << c.name;
+    const std::string reference = block_neutral_json(base);
+    for (const std::uint64_t block : kBlockSizes) {
+      spec.stream_block_samples = block;
+      EXPECT_EQ(block_neutral_json(sim.run(spec)), reference)
+          << c.name << " @ block " << block;
+    }
+  }
+
+  // A 3-lane PAM4 bus with FEXT and NEXT between neighbours.
+  api::BusSpec bus;
+  bus.name = "xtalk";
+  bus.lanes = 3;
+  bus.base = short_pam4_link();
+  bus.coupling = {{0.0, 0.03, 0.0}, {0.03, 0.0, 0.03}, {0.0, 0.03, 0.0}};
+  bus.next_coupling = {{0.0, 0.01, 0.0}, {0.01, 0.0, 0.01}, {0.0, 0.01, 0.0}};
+  const api::BusReport bus_base = sim.run_bus(bus, 1);
+  for (const api::RunReport& lane : bus_base.lanes) {
+    ASSERT_TRUE(lane.aligned) << lane.spec.name;
+  }
+  const std::string reference = block_neutral_json(bus_base);
+  for (const std::uint64_t block : kBlockSizes) {
+    bus.base.stream_block_samples = block;
+    EXPECT_EQ(block_neutral_json(sim.run_bus(bus, 1)), reference)
+        << "bus @ block " << block;
+  }
+}
+
 // ---- SlowDeep tier: nightly-depth streaming equivalence -------------------
 
 TEST(SlowDeep, StreamingMatchesBatchAtOneMillionBits) {
-  // One 2^20-bit chunk through both execution paths — the O(block) vs
-  // O(payload) memory regimes — must agree on every observable.
+  // One 2^20-bit chunk streamed (O(block) memory) and through the
+  // whole-waveform reference (O(payload) memory) must agree on every
+  // observable.
   api::LinkSpec spec;
   spec.payload_bits = 1u << 20;
   spec.chunk_bits = 1u << 20;
   spec.channel = api::ChannelSpec::flat(34.0);
   spec.noise_rms_v = 0.004;  // measurable-BER point: errors must agree too
-  const api::Simulator sim;
-
-  spec.streaming = false;
-  const api::RunReport batch = sim.run(spec);
-  spec.streaming = true;
-  const api::RunReport streamed = sim.run(spec);
+  const api::RunReport batch = testing::batch_reference_report(spec);
+  const api::RunReport streamed = api::Simulator().run(spec);
+  EXPECT_EQ(api::to_json(batch).dump(), api::to_json(streamed).dump());
 
   EXPECT_EQ(batch.aligned, streamed.aligned);
   EXPECT_EQ(batch.bits, streamed.bits);

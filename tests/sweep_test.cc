@@ -343,7 +343,6 @@ TEST(SpecJson, LinkSpecRoundTripIsFixedPoint) {
   spec.noise_rms_v = 0.0025;
   spec.seed = 18446744073709551615ull;  // above 2^53: must stay exact
   spec.prbs_order = util::PrbsOrder::kPrbs15;
-  spec.streaming = false;
   spec.dsp = true;
 
   const std::string once = api::to_json(spec).dump();
@@ -379,6 +378,24 @@ TEST(SpecJson, SweepSpecRoundTripIsFixedPoint) {
   const SweepSpec reparsed = SweepSpec::from_json(util::Json::parse(once));
   EXPECT_EQ(reparsed.to_json().dump(), once);
   EXPECT_EQ(reparsed.scenario_count(), sweep.scenario_count());
+}
+
+TEST(SpecJson, RemovedStreamingFieldIsRejectedWithMigrationHint) {
+  // Every Monte Carlo run streams; a spec still carrying the retired
+  // execution toggle is rejected at its own path, whatever the value.
+  for (const char* text : {R"({"streaming": true})", R"({"streaming": false})"}) {
+    try {
+      (void)api::link_spec_from_json(util::Json::parse(text));
+      FAIL() << "expected JsonError for " << text;
+    } catch (const util::JsonError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("$.streaming", 0), 0u) << what;
+      EXPECT_NE(what.find("every Monte Carlo run now streams"),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(api::to_json(api::LinkSpec{}).find("streaming"), nullptr);
 }
 
 TEST(SpecJson, ErrorsNameJsonPaths) {

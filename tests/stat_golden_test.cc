@@ -17,6 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "api/bus_spec.h"
+#include "api/link_builder.h"
+#include "api/simulator.h"
 #include "api/spec_json.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
@@ -61,6 +64,17 @@ std::string render_link_report(const fs::path& spec_path) {
   const api::LinkSpec spec = api::link_spec_from_json(doc);
   EXPECT_EQ(api::validate_spec_with_paths(spec), "");
   const api::RunReport report = api::Simulator().run(spec);
+  return api::to_json(report).dump(2) + "\n";
+}
+
+/// Runs one BusSpec file (fixed thread count — lanes are independent
+/// work items, so the report is byte-identical for any) and renders the
+/// BusReport exactly as `serdes_cli run` would.
+std::string render_bus_report(const fs::path& spec_path) {
+  const util::Json doc = util::Json::parse(read_file(spec_path));
+  const api::BusSpec bus = api::bus_spec_from_json(doc);
+  EXPECT_EQ(bus.validate(), "");
+  const api::BusReport report = api::Simulator().run_bus(bus, 2);
   return api::to_json(report).dump(2) + "\n";
 }
 
@@ -120,6 +134,32 @@ TEST(StatGolden, TrainedCiRunReport) {
   // cancellation + burst factor) all pin in one report.
   check_golden("trained_ci", render_link_report(source_dir() / "examples" /
                                                 "specs" / "trained_ci.json"));
+}
+
+TEST(StatGolden, BusCiReport) {
+  // PAM4 over a 4-lane FEXT/NEXT bus in "both" mode: pins the PAM4
+  // launch map, slicer calibration, tri-threshold sampler/CDR and the
+  // crosstalk injection paths, plus the bus stat engine.
+  check_golden("bus_ci", render_bus_report(source_dir() / "examples" /
+                                           "specs" / "bus_ci.json"));
+}
+
+TEST(StatGolden, Pam4FixedDfeRunReport) {
+  // PAM4 with live fixed DFE taps: the tri-threshold feedback comparator
+  // and its symbol weights {-1, -1/3, +1/3, +1} move decisions here,
+  // which the all-zero-tap identity tests cannot see.
+  const api::LinkSpec spec = api::LinkBuilder()
+                                 .name("pam4_dfe")
+                                 .modulation("pam4")
+                                 .channel(api::ChannelSpec::fir({0.7, 0.25}))
+                                 .noise_rms(0.01)
+                                 .dfe({0.22, 0.01})
+                                 .payload_bits(16384)
+                                 .chunk_bits(8192)
+                                 .build_spec();
+  ASSERT_EQ(api::validate_spec_with_paths(spec), "");
+  check_golden("pam4_dfe",
+               api::to_json(api::Simulator().run(spec)).dump(2) + "\n");
 }
 
 TEST(StatGolden, LossSweepReport) {

@@ -250,9 +250,12 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
 
   {
     pipe::SamplerCdrSink::Config sc;
-    sc.bit_rate = cfg.bit_rate;
+    sc.symbol_rate = cfg.bit_rate;
     sc.oversampling = cfg.cdr.oversampling;
     sc.jitter.random_rms = cfg.rx_random_jitter;
+    sc.thresholds = {sc.sampler.threshold};
+    sc.jitter_seeds = {sc.jitter.seed};
+    sc.sampler_seeds = {sc.sampler.seed};
     sc.total_samples = nsamp;
     sc.dt = cfg.sample_period();
     sc.block_samples = block;
@@ -269,22 +272,22 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
   }
 
   {
-    // The PAM4 terminal sink: three slicers + gray decode + dual-rail CDR
-    // per sampling instant, against the symbol clock (bit_rate / 2).  The
+    // The sink under PAM4: three slicers + gray decode + dual-rail CDR per
+    // sampling instant, against the symbol clock (bit_rate / 2).  The
     // constant input sits inside the upper sub-eye so all three slicers
     // run their comparison path.
-    pipe::PamSamplerCdrSink::Config pc;
+    pipe::SamplerCdrSink::Config pc;
     pc.symbol_rate = util::hertz(cfg.bit_rate.value() / 2.0);
     pc.oversampling = cfg.cdr.oversampling;
     pc.jitter.random_rms = cfg.rx_random_jitter;
-    pc.threshold_low = 0.6;
-    pc.threshold_mid = 0.9;
-    pc.threshold_high = 1.2;
+    pc.thresholds = {0.6, 0.9, 1.2};
+    pc.jitter_seeds = {pc.jitter.seed};
+    pc.sampler_seeds = {pc.sampler.seed};
     pc.total_samples = nsamp;
     pc.dt = cfg.sample_period();
     pc.block_samples = block;
     run_bench(results, "stage_pam4_slicer_sample", nsamp, [&] {
-      pipe::PamSamplerCdrSink sink(pc);
+      pipe::SamplerCdrSink sink(pc);
       pipe::Block in;
       in.samples().assign(block, 1.1);
       for (std::size_t i = 0; i < nsamp; i += block) {
@@ -370,10 +373,11 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
                 });
     }
     {
-      pipe::LaneSamplerCdrSink::Config sc;
-      sc.bit_rate = cfg.bit_rate;
+      pipe::SamplerCdrSink::Config sc;
+      sc.symbol_rate = cfg.bit_rate;
       sc.oversampling = cfg.cdr.oversampling;
       sc.jitter.random_rms = cfg.rx_random_jitter;
+      sc.thresholds = {sc.sampler.threshold};
       sc.jitter_seeds = lane_seeds;
       sc.sampler_seeds = lane_seeds;
       sc.total_samples = nsamp;
@@ -382,7 +386,7 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
       fill_tile(0.9);
       run_bench(results, "stage_sampler_cdr_lanes8_sample", nsamp * kLanes,
                 [&] {
-                  pipe::LaneSamplerCdrSink sink(sc);
+                  pipe::SamplerCdrSink sink(sc);
                   for (std::size_t i = 0; i < nsamp; i += block) {
                     tile.shape(block, kLanes, i, util::seconds(0.0),
                                cfg.sample_period(), false);

@@ -360,10 +360,14 @@ Json to_json(const stat::StatReport& report) {
     j.set("dfe_burst_factor", report.dfe_burst_factor);
   }
   j.set("cross_checked", report.cross_checked);
-  j.set("mc_ber", report.mc_ber);
-  j.set("band_low", report.band_low);
-  j.set("band_high", report.band_high);
-  j.set("consistent", report.consistent);
+  // The MC cross-check outcome exists only when one ran: a stat-only
+  // report omits it rather than reading as a failed check.
+  if (report.cross_checked) {
+    j.set("mc_ber", report.mc_ber);
+    j.set("band_low", report.band_low);
+    j.set("band_high", report.band_high);
+    j.set("consistent", report.consistent);
+  }
   return j;
 }
 

@@ -153,11 +153,6 @@ struct LinkConfig {
   /// the victim channel and before the AWGN, by the streaming datapath.
   std::vector<XtalkPath> xtalk;
 
-  /// PAM4 only: when false the sampler keeps just the middle threshold
-  /// (the LSB slicers are disabled and LSBs decode as 0) — the degenerate
-  /// configuration that reduces PAM4 to NRZ over symbols {0, 3}.
-  bool pam4_extra_thresholds = true;
-
   /// Unit interval (symbol period: bits_per_ui() bits long under PAM4).
   [[nodiscard]] util::Second unit_interval() const {
     return util::period(util::hertz(bit_rate.value() /

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "channel/equalizer.h"
 #include "core/link.h"
-#include "digital/framing.h"
 #include "pipe/lane_stages.h"
 #include "pipe/stages.h"
 
@@ -35,45 +33,18 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
   const std::size_t nl = lanes.size();
   results.assign(nl, LinkResult{});
   std::vector<std::uint64_t> awgn_seeds(nl);
-  std::vector<std::uint64_t> jitter_seeds(nl);
-  std::vector<std::uint64_t> sampler_seeds(nl);
+  std::vector<std::uint64_t> seeds(nl);
   for (std::size_t i = 0; i < nl; ++i) {
-    const std::uint64_t base = lane_seeds_[lanes[i]];
+    seeds[i] = lane_seeds_[lanes[i]];
     // The scalar link derives one AWGN seed per run from its run counter;
     // each lane keeps its own counter so the sequence matches per lane.
-    awgn_seeds[i] = base + 100 + chunks_run_[lanes[i]]++;
-    jitter_seeds[i] = base + 1;
-    sampler_seeds[i] = base + 2;
+    awgn_seeds[i] = seeds[i] + 100 + chunks_run_[lanes[i]]++;
   }
   for (LinkResult& r : results) r.payload_bits_sent = payload.size();
 
-  // ---- Shared TX prefix (lane-invariant, computed once per tile) ------------
-  // Identical to SerDesLink::run_streaming: per-bit launch levels and the
-  // stream time base.
-  const std::vector<std::uint8_t> bits = tx_.wire_bits(payload);
-  const int spu = config_.samples_per_ui;
-  const util::Second ui = config_.unit_interval();
-  const util::Second rise = tx_.driver().output_rise_time();
-
-  std::vector<double> levels(bits.size());
-  util::Second stream_t0 = util::seconds(0.0);
-  double fill = 0.0;
-  if (config_.tx_ffe_deemphasis != 0.0) {
-    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-        config_.tx_ffe_deemphasis, config_.driver.vdd);
-    levels = ffe.levels(bits);
-  } else {
-    const double vdd = config_.driver.vdd.value();
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      levels[i] = bits[i] ? vdd : 0.0;
-    }
-    stream_t0 = tx_.driver().total_delay();
-  }
-
-  pipe::LevelPulseSource source(std::move(levels), ui, spu, rise, stream_t0,
-                                fill);
+  // The shared TX launch source (lane-invariant, built once per tile).
+  pipe::LevelPulseSource source = SerDesLink::launch(config_, tx_, payload);
   const std::uint64_t total = source.total_samples();
-  const util::Second dt = source.dt();
   const std::size_t block =
       std::max<std::size_t>(1, config_.stream_block_samples);
   const double sigma = per_sample_noise_sigma(config_);
@@ -106,32 +77,21 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
       chan.process(blk.view(), chan_blk);
       awgn.process(chan_blk.view(), noisy);
       const pipe::LaneView nv = noisy.view();
-      if (!use_ctle) {
-        // No CTLE: swing and mean read the same samples — one traversal,
-        // per lane in sample order like the scalar fused loop.
-        for (std::size_t i = 0; i < nv.size; ++i) {
-          const double* row = nv.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) {
-            const double v = row[l];
-            min_v[l] = std::min(min_v[l], v);
-            max_v[l] = std::max(max_v[l], v);
-            sum[l] += v;
-          }
+      for (std::size_t i = 0; i < nv.size; ++i) {
+        const double* row = nv.data + i * nl;
+        for (std::size_t l = 0; l < nl; ++l) {
+          min_v[l] = std::min(min_v[l], row[l]);
+          max_v[l] = std::max(max_v[l], row[l]);
         }
-      } else {
+      }
+      pipe::LaneView ev = nv;
+      if (ctle) {
         ctle->process(nv, eq);
-        const pipe::LaneView ev = eq.view();
-        for (std::size_t i = 0; i < nv.size; ++i) {
-          const double* row = nv.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) {
-            min_v[l] = std::min(min_v[l], row[l]);
-            max_v[l] = std::max(max_v[l], row[l]);
-          }
-        }
-        for (std::size_t i = 0; i < ev.size; ++i) {
-          const double* row = ev.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) sum[l] += row[l];
-        }
+        ev = eq.view();
+      }
+      for (std::size_t i = 0; i < ev.size; ++i) {
+        const double* row = ev.data + i * nl;
+        for (std::size_t l = 0; l < nl; ++l) sum[l] += row[l];
       }
     }
   }
@@ -162,27 +122,8 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
     tap_restored.emplace(nl, capture_cap);
   }
 
-  pipe::LaneSamplerCdrSink::Config sink_cfg;
-  sink_cfg.bit_rate = config_.bit_rate;
-  sink_cfg.oversampling = config_.cdr.oversampling;
-  sink_cfg.phase_offset = util::seconds(config_.rx_phase_offset_ui *
-                                        config_.unit_interval().value());
-  sink_cfg.ppm_offset = config_.ppm_offset;
-  sink_cfg.jitter.random_rms = config_.rx_random_jitter;
-  sink_cfg.jitter.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
-  sink_cfg.jitter.sinusoidal_freq =
-      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
-  sink_cfg.sampler = config_.sampler;
-  sink_cfg.sampler.threshold = rx_.decision_threshold();
-  sink_cfg.dfe_taps = config_.dfe_taps;
-  sink_cfg.cdr = config_.cdr;
-  sink_cfg.jitter_seeds = std::move(jitter_seeds);
-  sink_cfg.sampler_seeds = std::move(sampler_seeds);
-  sink_cfg.total_samples = total;
-  sink_cfg.stream_t0 = stream_t0;
-  sink_cfg.dt = dt;
-  sink_cfg.block_samples = block;
-  pipe::LaneSamplerCdrSink sink(sink_cfg);
+  pipe::SamplerCdrSink sink = SerDesLink::make_sink(
+      config_, {rx_.decision_threshold()}, seeds, source);
 
   std::vector<double> tx_capture;
   pipe::Block blk;
@@ -218,16 +159,10 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
   finalize_cfg.capture_waveforms = capture;
   for (std::size_t i = 0; i < nl; ++i) {
     LinkResult& result = results[i];
-    ReceiveResult rx;
-    rx.recovered_bits = sink.cdr(i).recovered();
-    rx.payload = digital::deframe_stream(rx.recovered_bits, config_.framing);
-    rx.aligned = !rx.payload.empty();
-    rx.frames = digital::Deserializer::deserialize(rx.payload);
-    rx.cdr_decision_phase = sink.cdr(i).decision_phase();
-    rx.cdr_phase_updates = sink.cdr(i).phase_updates();
-    rx.metastable_samples = sink.metastable_count(i);
+    ReceiveResult rx = SerDesLink::receive(config_, sink, i);
     if (capture) {
-      result.tx_out = analog::Waveform{stream_t0, dt, tx_capture};
+      result.tx_out =
+          analog::Waveform{source.stream_t0(), source.dt(), tx_capture};
       result.channel_out = tap_channel->take(i);
       rx.restored = tap_restored->take(i);
       // The RFI probe tap is not materialized on the lane path (nothing

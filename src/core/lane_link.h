@@ -4,10 +4,14 @@
 // The lanes of a tile share everything that is seed-independent — the PRBS
 // payload, TX wire bits and launch levels, the pulse-shaping source and
 // the channel stream — computed once per tile instead of once per lane.
-// The datapath fans out at the receiver-input AWGN (the first seeded
-// stage) into lane-major SoA tiles (pipe/lane_block.h) processed by the
+// The TX launch source, the sampler/CDR sink configuration and the
+// receive-result fill are SerDesLink's own (SerDesLink::launch,
+// make_sink, receive), so the two links cannot drift apart there.  The
+// datapath fans out at the receiver-input AWGN (the first seeded stage)
+// into lane-major SoA tiles (pipe/lane_block.h) processed by the
 // lane-batched stages in pipe/lane_stages.h, whose inner lane loops
-// vectorize across the lane axis.
+// vectorize across the lane axis, and ends in the same
+// pipe::SamplerCdrSink as the scalar link, at one lane per tile lane.
 //
 // Hard contract: lane l of a tile run with seed s_l is bit-identical to a
 // scalar SerDesLink + measure_ber run whose config carries noise_seed s_l

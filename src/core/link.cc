@@ -23,11 +23,7 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
   // Receiver-input AWGN: a fresh seed per run keeps repeated runs
   // statistically independent while the whole experiment stays
   // deterministic.
-  const std::uint64_t noise_run_seed =
-      config_.noise_seed + 100 + run_counter_++;
-  return config_.modulation == LinkConfig::Modulation::kPam4
-             ? run_streaming_pam4(payload, noise_run_seed)
-             : run_streaming(payload, noise_run_seed);
+  return run_streaming(payload, config_.noise_seed + 100 + run_counter_++);
 }
 
 namespace {
@@ -56,395 +52,231 @@ std::vector<pipe::XtalkInjectStage::Path> build_xtalk_paths(
 
 }  // namespace
 
-LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
-                                     std::uint64_t noise_run_seed) {
-  LinkResult result;
-  result.payload_bits_sent = payload.size();
-
-  const std::vector<std::uint8_t> bits = tx_.wire_bits(payload);
-  const int spu = config_.samples_per_ui;
-  const util::Second ui = config_.unit_interval();
-  const util::Second rise = tx_.driver().output_rise_time();
-
-  // Per-bit launch levels and stream time base, matching the whole-waveform
-  // TX exactly: plain NRZ carries the driver delay (as
-  // Transmitter::transmit_bits does), the FFE path launches the
+pipe::LevelPulseSource SerDesLink::launch(
+    const LinkConfig& config, const Transmitter& tx,
+    const std::vector<std::uint8_t>& payload) {
+  const std::vector<std::uint8_t> bits = tx.wire_bits(payload);
+  const double vdd = config.driver.vdd.value();
+  // Plain NRZ and PAM4 carry the driver delay (as
+  // Transmitter::transmit_bits does); the FFE path launches the
   // pre-distorted levels at t0 = 0 (as TxFfe::shape does).
-  std::vector<double> levels(bits.size());
-  util::Second stream_t0 = util::seconds(0.0);
-  double fill = 0.0;
-  if (config_.tx_ffe_deemphasis != 0.0) {
-    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-        config_.tx_ffe_deemphasis, config_.driver.vdd);
-    levels = ffe.levels(bits);
+  util::Second stream_t0 = tx.driver().total_delay();
+  std::vector<double> levels;
+  if (config.modulation == LinkConfig::Modulation::kPam4) {
+    // Gray-map bit pairs (MSB first) onto the 4 launch levels:
+    // (0,0)->0, (0,1)->1, (1,1)->2, (1,0)->3 in ascending voltage, so
+    // every slicer error against an adjacent level costs exactly one bit.
+    // The alternating-1010 preamble would gray-map to a constant symbol 3
+    // (no edges — the CDR could never lock), so the preamble region
+    // instead launches alternating full-swing 3,0 symbols; the deframer
+    // aligns on the sync word, not the preamble content.
+    const std::size_t preamble_syms =
+        std::min<std::size_t>(static_cast<std::size_t>(std::max(
+                                  0, config.framing.preamble_bits)),
+                              bits.size()) /
+        2;
+    levels.resize((bits.size() + 1) / 2);
+    for (std::size_t s = 0; s < levels.size(); ++s) {
+      if (s < preamble_syms) {
+        levels[s] = (s % 2 == 0) ? vdd : 0.0;
+        continue;
+      }
+      const bool msb = bits[2 * s] != 0;
+      const bool lsb = 2 * s + 1 < bits.size() && bits[2 * s + 1] != 0;
+      const int symbol = msb ? (lsb ? 2 : 3) : (lsb ? 1 : 0);
+      levels[s] = static_cast<double>(symbol) * (vdd / 3.0);
+    }
+  } else if (config.tx_ffe_deemphasis != 0.0) {
+    levels = channel::TxFfe::de_emphasis(config.tx_ffe_deemphasis,
+                                         config.driver.vdd)
+                 .levels(bits);
+    stream_t0 = util::seconds(0.0);
   } else {
-    const double vdd = config_.driver.vdd.value();
+    levels.resize(bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i) {
       levels[i] = bits[i] ? vdd : 0.0;
     }
-    stream_t0 = tx_.driver().total_delay();
   }
-
-  // Crosstalk paths are built from the (pre-move) launch levels; one
-  // private set per pipeline pass so pass state never leaks across passes.
-  std::vector<pipe::XtalkInjectStage::Path> xtalk_pass1 =
-      build_xtalk_paths(config_, *channel_, levels);
-  std::vector<pipe::XtalkInjectStage::Path> xtalk_pass2 =
-      build_xtalk_paths(config_, *channel_, levels);
-
-  pipe::LevelPulseSource source(std::move(levels), ui, spu, rise, stream_t0,
-                                fill);
-  const std::uint64_t total = source.total_samples();
-  const util::Second dt = source.dt();
-  const std::size_t block =
-      std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = per_sample_noise_sigma(config_);
-  const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
-  const bool capture = config_.capture_waveforms;
-  const std::size_t capture_cap = config_.capture_max_samples > 0
-                                      ? config_.capture_max_samples
-                                      : static_cast<std::size_t>(-1);
-
-  // ---- Pass 1: DC mean and swing over the receiver input -------------------
-  // The RFI front end subtracts the whole-stream mean (the AC coupling in
-  // steady state); streaming can only know it after a full pass.  The first
-  // pass runs the cheap front half of the datapath (TX levels, channel
-  // IIR/FIR state, noise, CTLE) block by block, accumulating the mean in
-  // sample order — the exact sum Waveform::mean_value() computes —
-  // plus the pre-CTLE min/max for rx_swing_pp.  The second pass re-runs the
-  // same deterministic front half and carries on through the RFI, restoring
-  // stage, sampler and CDR.
-  double sum = 0.0;
-  double min_v = std::numeric_limits<double>::infinity();
-  double max_v = -std::numeric_limits<double>::infinity();
-  {
-    // Reuse the exact stage implementations pass 2 runs, so the two passes
-    // cannot drift apart: front = channel + noise (the swing point), then
-    // the optional CTLE (the mean point).
-    pipe::Pipeline front;
-    front.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
-    if (!xtalk_pass1.empty()) {
-      front.add(std::make_unique<pipe::XtalkInjectStage>(
-          std::move(xtalk_pass1), ui, spu, rise, stream_t0));
-    }
-    front.add(std::make_unique<pipe::AwgnStage>(sigma, noise_run_seed));
-    pipe::Pipeline eq;
-    if (use_ctle) {
-      eq.add(std::make_unique<pipe::CtleStage>(
-          config_.rx_ctle_boost, config_.rx_ctle_pole,
-          config_.sample_period()));
-    }
-    pipe::Block blk;
-    while (source.produce(blk, block) > 0) {
-      const pipe::BlockView noisy = front.process(blk.view());
-      const pipe::BlockView rx_in = eq.process(noisy);
-      if (rx_in.data == noisy.data) {
-        // No CTLE: swing and mean read the same samples — one traversal
-        // (the accumulation order, and thus the mean, is unchanged).
-        for (std::size_t i = 0; i < noisy.size; ++i) {
-          const double v = noisy[i];
-          min_v = std::min(min_v, v);
-          max_v = std::max(max_v, v);
-          sum += v;
-        }
-      } else {
-        for (std::size_t i = 0; i < noisy.size; ++i) {
-          min_v = std::min(min_v, noisy[i]);
-          max_v = std::max(max_v, noisy[i]);
-        }
-        for (std::size_t i = 0; i < rx_in.size; ++i) sum += rx_in[i];
-      }
-    }
-  }
-  result.rx_swing_pp = total > 0 ? max_v - min_v : 0.0;
-  const double mean = total > 0 ? sum / static_cast<double>(total) : 0.0;
-
-  // ---- Pass 2: full datapath into the sampler/CDR sink ---------------------
-  source.reset();
-  pipe::Pipeline pipeline;
-  pipeline.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
-  if (!xtalk_pass2.empty()) {
-    pipeline.add(std::make_unique<pipe::XtalkInjectStage>(
-        std::move(xtalk_pass2), ui, spu, rise, stream_t0));
-  }
-  pipeline.add(std::make_unique<pipe::AwgnStage>(sigma, noise_run_seed));
-  pipe::WaveformTapStage* tap_channel = nullptr;
-  pipe::WaveformTapStage* tap_rfi = nullptr;
-  pipe::WaveformTapStage* tap_restored = nullptr;
-  if (capture) {
-    tap_channel = static_cast<pipe::WaveformTapStage*>(&pipeline.add(
-        std::make_unique<pipe::WaveformTapStage>(capture_cap)));
-  }
-  if (use_ctle) {
-    pipeline.add(std::make_unique<pipe::CtleStage>(
-        config_.rx_ctle_boost, config_.rx_ctle_pole, config_.sample_period()));
-  }
-  auto rfi_stage = std::make_unique<pipe::RfiFrontEndStage>(
-      rx_.rfi_stage(), config_.sample_period());
-  rfi_stage->set_mean(mean);
-  pipeline.add(std::move(rfi_stage));
-  if (capture) {
-    tap_rfi = static_cast<pipe::WaveformTapStage*>(&pipeline.add(
-        std::make_unique<pipe::WaveformTapStage>(capture_cap)));
-  }
-  pipeline.add(std::make_unique<pipe::RestoringStage>(
-      rx_.restoring(), config_.sample_period()));
-  if (capture) {
-    tap_restored = static_cast<pipe::WaveformTapStage*>(&pipeline.add(
-        std::make_unique<pipe::WaveformTapStage>(capture_cap)));
-  }
-
-  pipe::SamplerCdrSink::Config sink_cfg;
-  sink_cfg.bit_rate = config_.bit_rate;
-  sink_cfg.oversampling = config_.cdr.oversampling;
-  sink_cfg.phase_offset = util::seconds(config_.rx_phase_offset_ui *
-                                        config_.unit_interval().value());
-  sink_cfg.ppm_offset = config_.ppm_offset;
-  sink_cfg.jitter.random_rms = config_.rx_random_jitter;
-  sink_cfg.jitter.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
-  sink_cfg.jitter.sinusoidal_freq =
-      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
-  sink_cfg.jitter.seed = config_.noise_seed + 1;
-  sink_cfg.sampler = config_.sampler;
-  sink_cfg.sampler.threshold = rx_.decision_threshold();
-  sink_cfg.sampler.seed = config_.noise_seed + 2;
-  sink_cfg.dfe_taps = config_.dfe_taps;
-  sink_cfg.cdr = config_.cdr;
-  sink_cfg.total_samples = total;
-  sink_cfg.stream_t0 = stream_t0;
-  sink_cfg.dt = dt;
-  sink_cfg.block_samples = block;
-  pipe::SamplerCdrSink sink(sink_cfg);
-
-  std::vector<double> tx_capture;
-  pipe::Block blk;
-  while (source.produce(blk, block) > 0) {
-    const pipe::BlockView tx_view = blk.view();
-    if (capture && tx_capture.size() < capture_cap) {
-      const std::size_t take =
-          std::min(capture_cap - tx_capture.size(), tx_view.size);
-      tx_capture.insert(tx_capture.end(), tx_view.data, tx_view.data + take);
-    }
-    sink.consume(pipeline.process(tx_view));
-  }
-  sink.finish();
-
-  ReceiveResult rx;
-  rx.recovered_bits = sink.cdr().recovered();
-  rx.payload = digital::deframe_stream(rx.recovered_bits, config_.framing);
-  rx.aligned = !rx.payload.empty();
-  rx.frames = digital::Deserializer::deserialize(rx.payload);
-  rx.cdr_decision_phase = sink.cdr().decision_phase();
-  rx.cdr_phase_updates = sink.cdr().phase_updates();
-  rx.metastable_samples = sink.metastable_count();
-  if (capture) {
-    result.tx_out = analog::Waveform{stream_t0, dt, std::move(tx_capture)};
-    result.channel_out = tap_channel->take();
-    rx.rfi_out = tap_rfi->take();
-    rx.restored = tap_restored->take();
-  }
-  result.rx = std::move(rx);
-  result.aligned = result.rx.aligned;
-  result.decision_threshold = rx_.decision_threshold();
-
-  finalize(payload, result);
-  return result;
+  return pipe::LevelPulseSource(std::move(levels), config.unit_interval(),
+                                config.samples_per_ui,
+                                tx.driver().output_rise_time(), stream_t0);
 }
 
-LinkResult SerDesLink::run_streaming_pam4(
-    const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed) {
+pipe::SamplerCdrSink SerDesLink::make_sink(
+    const LinkConfig& config, std::vector<double> thresholds,
+    const std::vector<std::uint64_t>& lane_seeds,
+    const pipe::LevelPulseSource& source) {
+  pipe::SamplerCdrSink::Config c;
+  c.symbol_rate = util::hertz(config.bit_rate.value() /
+                              static_cast<double>(config.bits_per_ui()));
+  c.oversampling = config.cdr.oversampling;
+  c.phase_offset = util::seconds(config.rx_phase_offset_ui *
+                                 config.unit_interval().value());
+  c.ppm_offset = config.ppm_offset;
+  c.jitter.random_rms = config.rx_random_jitter;
+  c.jitter.sinusoidal_amplitude = config.rx_sinusoidal_jitter;
+  c.jitter.sinusoidal_freq =
+      util::hertz(config.sj_freq_ratio * config.bit_rate.value());
+  c.sampler = config.sampler;
+  c.cdr = config.cdr;
+  c.thresholds = std::move(thresholds);
+  for (const std::uint64_t seed : lane_seeds) {
+    c.jitter_seeds.push_back(seed + 1);
+    c.sampler_seeds.push_back(seed + 2);
+  }
+  c.dfe_taps = config.dfe_taps;
+  c.total_samples = source.total_samples();
+  c.stream_t0 = source.stream_t0();
+  c.dt = source.dt();
+  c.block_samples = std::max<std::size_t>(1, config.stream_block_samples);
+  return pipe::SamplerCdrSink(c);
+}
+
+ReceiveResult SerDesLink::receive(const LinkConfig& config,
+                                  const pipe::SamplerCdrSink& sink,
+                                  std::size_t lane) {
+  ReceiveResult rx;
+  rx.recovered_bits = sink.recovered_bits(lane);
+  rx.payload = digital::deframe_stream(rx.recovered_bits, config.framing);
+  rx.aligned = !rx.payload.empty();
+  rx.frames = digital::Deserializer::deserialize(rx.payload);
+  rx.cdr_decision_phase = sink.cdr(lane).decision_phase();
+  rx.cdr_phase_updates = sink.cdr(lane).phase_updates();
+  rx.metastable_samples = sink.metastable_count(lane);
+  return rx;
+}
+
+LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
+                                     std::uint64_t noise_run_seed) {
+  const bool pam4 = config_.modulation == LinkConfig::Modulation::kPam4;
   LinkResult result;
   result.payload_bits_sent = payload.size();
 
-  const std::vector<std::uint8_t> bits = tx_.wire_bits(payload);
-  const int spu = config_.samples_per_ui;
-  const util::Second ui = config_.unit_interval();  // PAM4: symbol period
-  const util::Second rise = tx_.driver().output_rise_time();
-  const double vdd = config_.driver.vdd.value();
-  const double step = vdd / 3.0;
-
-  // Gray-map bit pairs (MSB first) onto the 4 launch levels, two bits per
-  // symbol: (0,0)->0, (0,1)->1, (1,1)->2, (1,0)->3 in ascending voltage,
-  // so every slicer error against an adjacent level costs exactly one bit.
-  // The alternating-1010 preamble would gray-map to a constant symbol 3
-  // (no edges — the CDR could never lock), so the preamble region instead
-  // launches alternating full-swing 3,0 symbols; the deframer aligns on
-  // the sync word, not the preamble content, so recovery is unaffected.
-  const std::size_t preamble_syms =
-      std::min<std::size_t>(
-          static_cast<std::size_t>(std::max(0, config_.framing.preamble_bits)),
-          bits.size()) /
-      2;
-  const std::size_t nsym = (bits.size() + 1) / 2;
-  std::vector<double> levels(nsym);
-  for (std::size_t s = 0; s < nsym; ++s) {
-    if (s < preamble_syms) {
-      levels[s] = (s % 2 == 0) ? vdd : 0.0;
-      continue;
-    }
-    const bool msb = bits[2 * s] != 0;
-    const bool lsb = 2 * s + 1 < bits.size() && bits[2 * s + 1] != 0;
-    const int symbol = msb ? (lsb ? 2 : 3) : (lsb ? 1 : 0);
-    levels[s] = static_cast<double>(symbol) * step;
-  }
-  const util::Second stream_t0 = tx_.driver().total_delay();
-
-  std::vector<pipe::XtalkInjectStage::Path> xtalk_pass1 =
-      build_xtalk_paths(config_, *channel_, levels);
-  std::vector<pipe::XtalkInjectStage::Path> xtalk_cal =
-      build_xtalk_paths(config_, *channel_, levels);
-  std::vector<pipe::XtalkInjectStage::Path> xtalk_pass2 =
-      build_xtalk_paths(config_, *channel_, levels);
-
-  pipe::LevelPulseSource source(std::move(levels), ui, spu, rise, stream_t0,
-                                0.0);
+  pipe::LevelPulseSource source = launch(config_, tx_, payload);
   const std::uint64_t total = source.total_samples();
-  const util::Second dt = source.dt();
   const std::size_t block =
       std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = per_sample_noise_sigma(config_);
-  const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
   const bool capture = config_.capture_waveforms;
   const std::size_t capture_cap = config_.capture_max_samples > 0
                                       ? config_.capture_max_samples
                                       : static_cast<std::size_t>(-1);
 
-  // ---- Pass 1: slicer calibration over the equalized stream ----------------
-  // There is no RFI/restoring stage in the PAM4 path (both are hard 2-level
-  // nonlinearities); the slicers read the CTLE output directly.  Their
-  // thresholds come from a noise-free replay of the composite stream
-  // (channel + crosstalk + CTLE, no AWGN): the middle threshold at the
-  // midpoint of the observed clean range, the outer two at +/- one third
-  // of it — the boundaries between four equally spaced levels.  The range
-  // midpoint, unlike the stream mean, is immune to the duty skew the
-  // leading/trailing zero-level regions introduce, and leaving the noise
-  // out keeps its tails from inflating the range (and so pushing the
-  // outer thresholds off the sub-eye boundaries).  The pre-CTLE noisy
-  // min/max feed rx_swing_pp exactly as in the NRZ path.
-  double min_pre = std::numeric_limits<double>::infinity();
-  double max_pre = -std::numeric_limits<double>::infinity();
-  double min_post = std::numeric_limits<double>::infinity();
-  double max_post = -std::numeric_limits<double>::infinity();
+  // Stage factory shared by every pipeline of both passes, so they cannot
+  // drift apart: channel, then crosstalk (private aggressor streams per
+  // pipeline, so pass state never leaks across passes), then optionally
+  // the receiver-input AWGN.
+  const auto add_front = [&](pipe::Pipeline& p, bool noise) {
+    p.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
+    auto paths = build_xtalk_paths(config_, *channel_, source.levels());
+    if (!paths.empty()) {
+      p.add(std::make_unique<pipe::XtalkInjectStage>(
+          std::move(paths), config_.unit_interval(), config_.samples_per_ui,
+          tx_.driver().output_rise_time(), source.stream_t0()));
+    }
+    if (noise) {
+      p.add(std::make_unique<pipe::AwgnStage>(per_sample_noise_sigma(config_),
+                                              noise_run_seed));
+    }
+  };
+  const auto add_ctle = [&](pipe::Pipeline& p) {
+    if (config_.rx_ctle_boost.value() > 0.0) {
+      p.add(std::make_unique<pipe::CtleStage>(config_.rx_ctle_boost,
+                                              config_.rx_ctle_pole,
+                                              config_.sample_period()));
+    }
+  };
+
+  // ---- Pass 1: swing plus the sampler-path statistic -----------------------
+  // The noisy pre-CTLE min/max give rx_swing_pp.  NRZ: the RFI front end
+  // subtracts the whole-stream mean of the (equalized) receiver input —
+  // the AC coupling in steady state — which streaming can only know after
+  // a full pass; it accumulates in sample order, the exact sum
+  // Waveform::mean_value() computes.  PAM4 has no RFI/restoring stage
+  // (both are hard 2-level nonlinearities; the slicers read the CTLE
+  // output), and calibrates its slicers on a noise-free replay of the
+  // composite stream (channel + crosstalk + CTLE): the middle threshold
+  // at the midpoint of the clean range, the outer two at +/- one third of
+  // it — the boundaries between four equally spaced levels.  The range
+  // midpoint, unlike the mean, is immune to the duty skew of the
+  // zero-level lead-in/out, and leaving the noise out keeps its tails
+  // from pushing the outer thresholds off the sub-eye boundaries.
+  double min_v = std::numeric_limits<double>::infinity();
+  double max_v = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
   {
     pipe::Pipeline front;
-    front.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
-    if (!xtalk_pass1.empty()) {
-      front.add(std::make_unique<pipe::XtalkInjectStage>(
-          std::move(xtalk_pass1), ui, spu, rise, stream_t0));
-    }
-    front.add(std::make_unique<pipe::AwgnStage>(sigma, noise_run_seed));
-    pipe::Pipeline cal;
-    cal.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
-    if (!xtalk_cal.empty()) {
-      cal.add(std::make_unique<pipe::XtalkInjectStage>(
-          std::move(xtalk_cal), ui, spu, rise, stream_t0));
-    }
-    if (use_ctle) {
-      cal.add(std::make_unique<pipe::CtleStage>(
-          config_.rx_ctle_boost, config_.rx_ctle_pole,
-          config_.sample_period()));
-    }
+    add_front(front, /*noise=*/true);
+    pipe::Pipeline stat;  // NRZ: on the noisy stream; PAM4: on the TX
+    if (pam4) add_front(stat, /*noise=*/false);
+    add_ctle(stat);
     pipe::Block blk;
     while (source.produce(blk, block) > 0) {
       const pipe::BlockView noisy = front.process(blk.view());
       for (std::size_t i = 0; i < noisy.size; ++i) {
-        min_pre = std::min(min_pre, noisy[i]);
-        max_pre = std::max(max_pre, noisy[i]);
+        min_v = std::min(min_v, noisy[i]);
+        max_v = std::max(max_v, noisy[i]);
       }
-      const pipe::BlockView clean = cal.process(blk.view());
-      for (std::size_t i = 0; i < clean.size; ++i) {
-        const double v = clean[i];
-        min_post = std::min(min_post, v);
-        max_post = std::max(max_post, v);
+      const pipe::BlockView v = stat.process(pam4 ? blk.view() : noisy);
+      for (std::size_t i = 0; i < v.size; ++i) {
+        sum += v[i];
+        lo = std::min(lo, v[i]);
+        hi = std::max(hi, v[i]);
       }
     }
   }
-  result.rx_swing_pp = total > 0 ? max_pre - min_pre : 0.0;
-  const double mid = total > 0 ? 0.5 * (min_post + max_post) : 0.0;
-  const double third = total > 0 ? (max_post - min_post) / 3.0 : 0.0;
+  result.rx_swing_pp = total > 0 ? max_v - min_v : 0.0;
+  std::vector<double> thresholds{rx_.decision_threshold()};
+  if (pam4) {
+    const double mid = total > 0 ? 0.5 * (lo + hi) : 0.0;
+    const double third = total > 0 ? (hi - lo) / 3.0 : 0.0;
+    thresholds = {mid - third, mid, mid + third};
+  }
 
-  // ---- Pass 2: full datapath into the PAM4 sampler/CDR sink ----------------
+  // ---- Pass 2: full datapath into the sampler/CDR sink ---------------------
   source.reset();
   pipe::Pipeline pipeline;
-  pipeline.add(std::make_unique<pipe::ChannelStage>(channel_->open_stream()));
-  if (!xtalk_pass2.empty()) {
-    pipeline.add(std::make_unique<pipe::XtalkInjectStage>(
-        std::move(xtalk_pass2), ui, spu, rise, stream_t0));
-  }
-  pipeline.add(std::make_unique<pipe::AwgnStage>(sigma, noise_run_seed));
-  pipe::WaveformTapStage* tap_channel = nullptr;
-  pipe::WaveformTapStage* tap_eq = nullptr;
-  if (capture) {
-    tap_channel = static_cast<pipe::WaveformTapStage*>(&pipeline.add(
+  const auto add_tap = [&]() -> pipe::WaveformTapStage* {
+    if (!capture) return nullptr;
+    return static_cast<pipe::WaveformTapStage*>(&pipeline.add(
         std::make_unique<pipe::WaveformTapStage>(capture_cap)));
+  };
+  pipe::WaveformTapStage* tap_tx = add_tap();
+  add_front(pipeline, /*noise=*/true);
+  pipe::WaveformTapStage* tap_channel = add_tap();
+  add_ctle(pipeline);
+  pipe::WaveformTapStage* tap_rfi = nullptr;
+  if (!pam4) {
+    auto rfi = std::make_unique<pipe::RfiFrontEndStage>(
+        rx_.rfi_stage(), config_.sample_period());
+    rfi->set_mean(total > 0 ? sum / static_cast<double>(total) : 0.0);
+    pipeline.add(std::move(rfi));
+    tap_rfi = add_tap();
+    pipeline.add(std::make_unique<pipe::RestoringStage>(
+        rx_.restoring(), config_.sample_period()));
   }
-  if (use_ctle) {
-    pipeline.add(std::make_unique<pipe::CtleStage>(
-        config_.rx_ctle_boost, config_.rx_ctle_pole, config_.sample_period()));
-  }
-  if (capture) {
-    // The equalized stream is what the slicers see — it fills the report's
-    // "restored" slot (there is no restoring stage under PAM4).
-    tap_eq = static_cast<pipe::WaveformTapStage*>(&pipeline.add(
-        std::make_unique<pipe::WaveformTapStage>(capture_cap)));
-  }
+  // The sampler input: restored (NRZ) or equalized (PAM4) — either way it
+  // fills the report's "restored" slot.
+  pipe::WaveformTapStage* tap_restored = add_tap();
 
-  pipe::PamSamplerCdrSink::Config sink_cfg;
-  sink_cfg.symbol_rate =
-      util::hertz(config_.bit_rate.value() /
-                  static_cast<double>(config_.bits_per_ui()));
-  sink_cfg.oversampling = config_.cdr.oversampling;
-  sink_cfg.phase_offset = util::seconds(config_.rx_phase_offset_ui *
-                                        config_.unit_interval().value());
-  sink_cfg.ppm_offset = config_.ppm_offset;
-  sink_cfg.jitter.random_rms = config_.rx_random_jitter;
-  sink_cfg.jitter.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
-  sink_cfg.jitter.sinusoidal_freq =
-      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
-  sink_cfg.jitter.seed = config_.noise_seed + 1;
-  sink_cfg.sampler = config_.sampler;
-  sink_cfg.sampler.seed = config_.noise_seed + 2;
-  sink_cfg.threshold_low = mid - third;
-  sink_cfg.threshold_mid = mid;
-  sink_cfg.threshold_high = mid + third;
-  sink_cfg.extra_thresholds = config_.pam4_extra_thresholds;
-  sink_cfg.dfe_taps = config_.dfe_taps;
-  sink_cfg.cdr = config_.cdr;
-  sink_cfg.total_samples = total;
-  sink_cfg.stream_t0 = stream_t0;
-  sink_cfg.dt = dt;
-  sink_cfg.block_samples = block;
-  pipe::PamSamplerCdrSink sink(sink_cfg);
-
-  std::vector<double> tx_capture;
+  pipe::SamplerCdrSink sink =
+      make_sink(config_, thresholds, {config_.noise_seed}, source);
   pipe::Block blk;
   while (source.produce(blk, block) > 0) {
-    const pipe::BlockView tx_view = blk.view();
-    if (capture && tx_capture.size() < capture_cap) {
-      const std::size_t take =
-          std::min(capture_cap - tx_capture.size(), tx_view.size);
-      tx_capture.insert(tx_capture.end(), tx_view.data, tx_view.data + take);
-    }
-    sink.consume(pipeline.process(tx_view));
+    sink.consume(pipeline.process(blk.view()));
   }
   sink.finish();
 
-  ReceiveResult rx;
-  rx.recovered_bits = sink.recovered_bits();
-  rx.payload = digital::deframe_stream(rx.recovered_bits, config_.framing);
-  rx.aligned = !rx.payload.empty();
-  rx.frames = digital::Deserializer::deserialize(rx.payload);
-  rx.cdr_decision_phase = sink.cdr().decision_phase();
-  rx.cdr_phase_updates = sink.cdr().phase_updates();
-  rx.metastable_samples = sink.metastable_count();
+  result.rx = receive(config_, sink, 0);
   if (capture) {
-    result.tx_out = analog::Waveform{stream_t0, dt, std::move(tx_capture)};
+    result.tx_out = tap_tx->take();
     result.channel_out = tap_channel->take();
-    rx.restored = tap_eq->take();
+    if (tap_rfi != nullptr) result.rx.rfi_out = tap_rfi->take();
+    result.rx.restored = tap_restored->take();
   }
-  result.rx = std::move(rx);
   result.aligned = result.rx.aligned;
-  result.decision_threshold = mid;
+  result.decision_threshold = thresholds[thresholds.size() / 2];
 
   finalize(payload, result);
   return result;

@@ -12,6 +12,11 @@
 #include "core/transmitter.h"
 #include "util/prbs.h"
 
+namespace serdes::pipe {
+class LevelPulseSource;
+class SamplerCdrSink;
+}  // namespace serdes::pipe
+
 namespace serdes::core {
 
 /// Outcome of one link run.
@@ -49,7 +54,8 @@ class SerDesLink {
 
   /// Transmits `payload` and compares what the receiver recovered.  The
   /// datapath streams in blocks of LinkConfig::stream_block_samples (O(block)
-  /// waveform memory); NRZ and PAM4 each run their own sampler/CDR sink.
+  /// waveform memory); NRZ and PAM4 share it, down to one sampler/CDR sink
+  /// whose slicer thresholds carry the modulation.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// Convenience: PRBS payload of `nbits` using the config's pattern order.
@@ -68,6 +74,27 @@ class SerDesLink {
     config_.capture_waveforms = capture;
   }
 
+  /// Shared head of every run (NRZ, PAM4 and the lane-batched LaneLink):
+  /// the TX launch source for `payload`'s wire bits — per-symbol launch
+  /// levels (NRZ, TX FFE or gray-mapped PAM4) and the stream time base.
+  [[nodiscard]] static pipe::LevelPulseSource launch(
+      const LinkConfig& config, const Transmitter& tx,
+      const std::vector<std::uint8_t>& payload);
+
+  /// The sampler/CDR sink every run ends in: one lane per entry of
+  /// `lane_seeds` (each lane's jitter/slicers seeded from it as a scalar
+  /// link's noise_seed), slicing at `thresholds`, over `source`'s stream.
+  [[nodiscard]] static pipe::SamplerCdrSink make_sink(
+      const LinkConfig& config, std::vector<double> thresholds,
+      const std::vector<std::uint64_t>& lane_seeds,
+      const pipe::LevelPulseSource& source);
+
+  /// What lane `lane` of a drained sink recovered: bits, deframed
+  /// payload, frames and CDR / metastability diagnostics.
+  [[nodiscard]] static ReceiveResult receive(const LinkConfig& config,
+                                             const pipe::SamplerCdrSink& sink,
+                                             std::size_t lane);
+
   /// Shared tail of every run (NRZ, PAM4 and the lane-batched LaneLink):
   /// payload comparison, truncated-tail error accounting, BER, and
   /// waveform dropping per `config`'s capture setting.
@@ -77,8 +104,6 @@ class SerDesLink {
 
  private:
   [[nodiscard]] LinkResult run_streaming(
-      const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
-  [[nodiscard]] LinkResult run_streaming_pam4(
       const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
   void finalize(const std::vector<std::uint8_t>& payload, LinkResult& result) {
     finalize_result(config_, payload, result);

@@ -15,8 +15,10 @@
 //   LaneRfiStage       — RFI front end with per-lane DC means and poles
 //   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
 //   LaneWaveformTap    — per-lane diagnostic-window capture
-//   LaneSamplerCdrSink — per-lane jitter/sampler/CDR over one shared
-//                        interleaved rolling window
+//
+// The tile ends in the same pipe::SamplerCdrSink as the scalar datapath
+// (pipe/stages.h), which keeps per-lane jitter/slicer/CDR state over one
+// shared interleaved rolling window.
 //
 // The gaussian draw (ziggurat with a variable-draw edge path) and the
 // sampler decision (data-dependent metastability redraws) stay scalar per
@@ -26,16 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "analog/filters.h"
 #include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "analog/waveform.h"
-#include "channel/noise.h"
-#include "digital/cdr.h"
-#include "digital/sampling.h"
 #include "pipe/block.h"
 #include "pipe/lane_block.h"
 #include "util/random.h"
@@ -131,112 +129,6 @@ class LaneWaveformTap {
   util::Second t0_{0.0};
   util::Second dt_{1e-12};
   bool stamped_ = false;
-};
-
-/// Terminal sink for a lane tile: per-lane jittered multiphase sampling,
-/// DFF decision and oversampling CDR, all fed from one shared interleaved
-/// rolling window.  Lane l reproduces the scalar SamplerCdrSink seeded
-/// with lane l's jitter/sampler seeds bit-for-bit: each lane keeps its own
-/// sampling cursor and drains independently, so a lane whose jittered
-/// instant still waits on the next block never stalls the others' RNG
-/// draw order.
-class LaneSamplerCdrSink {
- public:
-  struct Config {
-    util::Hertz bit_rate;
-    int oversampling = 5;
-    util::Second phase_offset{0.0};
-    double ppm_offset = 0.0;
-    /// Shared jitter/sampler settings; the per-lane seed vectors below
-    /// override the seed fields lane by lane (their common size is the
-    /// lane count).
-    channel::JitterModel::Config jitter{};
-    analog::DffSampler::Config sampler{};
-    digital::CdrConfig cdr{};
-    std::vector<std::uint64_t> jitter_seeds;
-    std::vector<std::uint64_t> sampler_seeds;
-    /// DFE post-cursor taps (volts in the sink's input domain), shared
-    /// across lanes; each lane carries its own feedback history so lane l
-    /// stays bit-identical to the scalar sink run over lane l alone.
-    /// Empty disables the feedback path.
-    std::vector<double> dfe_taps;
-    /// Stream geometry (known up front: framed bits x samples per UI).
-    std::uint64_t total_samples = 0;
-    util::Second stream_t0{0.0};
-    util::Second dt{1e-12};
-    /// Block size hint used to size the rolling window.
-    std::size_t block_samples = 16384;
-  };
-
-  explicit LaneSamplerCdrSink(const Config& config);
-
-  /// Appends one tile and evaluates, per lane, every sampling instant
-  /// whose needed neighbourhood is now available.
-  void consume(const LaneView& in);
-
-  /// Evaluates the remaining instants with end-of-stream clamping.
-  void finish();
-
-  [[nodiscard]] std::size_t lanes() const { return nlanes_; }
-  [[nodiscard]] const digital::OversamplingCdr& cdr(std::size_t lane) const {
-    return cdrs_[lane];
-  }
-  [[nodiscard]] std::uint64_t metastable_count(std::size_t lane) const {
-    return samplers_[lane].metastable_count();
-  }
-
- private:
-  /// Per-lane sampling cursor: the scalar sink's progress state, one copy
-  /// per lane so lanes drain independently.
-  struct LaneCursor {
-    double first_sample = 0.0;
-    double last_sample = 0.0;
-    bool has_first = false;
-    bool got_last = false;
-    std::uint64_t ui = 0;
-    int phase = 0;
-    std::optional<util::Second> pending;
-    bool done = false;
-    // Per-lane DFE feedback state (see SamplerCdrSink): correction latched
-    // at phase 0, decision from a pure comparator at the CDR pick phase,
-    // history shifted at the UI wrap.
-    std::vector<double> dfe_hist;  // w in {+1,-1}, 0 pre-stream
-    double dfe_corr = 0.0;
-    int dfe_fb_phase = 0;
-    bool dfe_fb_decided = false;
-    double dfe_fb_w = 0.0;
-  };
-
-  void drain_lane(std::size_t lane);
-  /// Scalar-identical fused availability test + interpolation for lane
-  /// `lane` (see SamplerCdrSink::fetch).
-  [[nodiscard]] bool fetch(std::size_t lane, const LaneCursor& cursor,
-                           util::Second t, double* v) const;
-
-  digital::MultiphaseClockGenerator clocks_;  // config-only: shared
-  std::vector<channel::JitterModel> jitters_;
-  std::vector<analog::DffSampler> samplers_;
-  std::vector<digital::OversamplingCdr> cdrs_;
-  std::vector<LaneCursor> cursors_;
-
-  std::size_t nlanes_;
-  std::uint64_t total_;
-  util::Second t0_;
-  util::Second dt_;
-  util::Second end_;
-  util::Second ap_half_;
-
-  /// Interleaved rolling window: stream sample i of lane l lives at
-  /// ring_[(i & mask_) * nlanes_ + l]; capacity is a power of two of
-  /// *entries* (sample indices), not values.
-  std::vector<double> ring_;
-  std::size_t mask_ = 0;  // entry count - 1
-  std::size_t back_samples_ = 0;
-  std::uint64_t appended_ = 0;
-
-  bool dfe_on_ = false;
-  std::vector<double> dfe_taps_;
-  double dfe_thr_ = 0.0;  // comparator threshold (the shared sampler's)
 };
 
 }  // namespace serdes::pipe

@@ -174,84 +174,121 @@ analog::Waveform WaveformTapStage::take() {
 // ---- SamplerCdrSink ---------------------------------------------------------
 
 SamplerCdrSink::SamplerCdrSink(const Config& config)
-    : clocks_(config.bit_rate, config.oversampling, config.phase_offset,
+    : clocks_(config.symbol_rate, config.oversampling, config.phase_offset,
               config.ppm_offset),
-      jitter_(config.jitter),
-      sampler_(config.sampler),
-      cdr_(config.cdr),
+      thresholds_(config.thresholds),
+      nlanes_(config.jitter_seeds.size()),
+      nslicers_(config.thresholds.size()),
       total_(config.total_samples),
       t0_(config.stream_t0),
       dt_(config.dt),
       end_(config.stream_t0 +
            config.dt * static_cast<double>(config.total_samples)),
       ap_half_(config.sampler.aperture * 0.5),
-      dfe_on_(!config.dfe_taps.empty()),
-      dfe_taps_(config.dfe_taps),
-      dfe_hist_(config.dfe_taps.size(), 0.0),
-      dfe_thr_(config.sampler.threshold) {
+      dfe_taps_(config.dfe_taps) {
+  if (nlanes_ == 0 || config.sampler_seeds.size() != nlanes_) {
+    throw std::invalid_argument(
+        "SamplerCdrSink: jitter/sampler seed vectors must be the same "
+        "non-zero length");
+  }
+  if (nslicers_ != 1 && nslicers_ != 3) {
+    throw std::invalid_argument(
+        "SamplerCdrSink: need 1 (NRZ) or 3 (PAM4) slicer thresholds");
+  }
+  // Draw order: the middle slicer first (it alone drives the CDR edges),
+  // then the rest in ascending order — mid, low, high under PAM4.
+  std::vector<double> draw_order{thresholds_[nslicers_ / 2]};
+  for (std::size_t k = 0; k < nslicers_; ++k) {
+    if (k != nslicers_ / 2) draw_order.push_back(thresholds_[k]);
+  }
+  lanes_.reserve(nlanes_);
+  slicers_.reserve(nlanes_ * nslicers_);
+  for (std::size_t l = 0; l < nlanes_; ++l) {
+    channel::JitterModel::Config jc = config.jitter;
+    jc.seed = config.jitter_seeds[l];
+    lanes_.emplace_back(jc, config.cdr);
+    lanes_.back().dfe_hist.assign(dfe_taps_.size(), 0.0);
+    lanes_.back().done = total_ == 0;
+    for (std::size_t k = 0; k < nslicers_; ++k) {
+      analog::DffSampler::Config sc = config.sampler;
+      sc.threshold = draw_order[k];
+      sc.seed = config.sampler_seeds[l] + k;
+      slicers_.emplace_back(sc);
+    }
+  }
   // The rolling window must span one appended block plus the worst-case
   // backward reach of a jittered aperture edge; anything older can be
   // discarded because instants are evaluated in order, as soon as their
-  // forward neighbourhood arrives.  Power-of-two capacity so the absolute
-  // index wrap is a mask, not a division.
+  // forward neighbourhood arrives.
   const double dt_s = config.dt.value();
   const double back_span_s = config.sampler.aperture.value() +
                              24.0 * config.jitter.random_rms.value() +
                              2.0 * config.jitter.sinusoidal_amplitude.value() +
-                             4.0 * util::period(config.bit_rate).value();
-  back_samples_ =
-      static_cast<std::size_t>(back_span_s / dt_s) + 64;
-  ring_.assign(dsp::next_pow2(std::max<std::size_t>(config.block_samples, 1) +
-                              back_samples_),
-               0.0);
-  mask_ = ring_.size() - 1;
-  if (total_ == 0) done_ = true;
+                             4.0 * util::period(config.symbol_rate).value();
+  back_samples_ = static_cast<std::size_t>(back_span_s / dt_s) + 64;
+  const std::size_t entries = dsp::next_pow2(
+      std::max<std::size_t>(config.block_samples, 1) + back_samples_);
+  ring_.assign(entries * nlanes_, 0.0);
+  mask_ = entries - 1;
 }
 
-void SamplerCdrSink::consume(const BlockView& in) {
-  if (in.size + back_samples_ > ring_.size()) {
-    // A block larger than the sizing hint arrived: grow the window before
-    // writing, re-placing the live span under the new modulus, so oversized
-    // blocks can never overwrite samples pending instants still need.
-    std::vector<double> bigger(dsp::next_pow2(in.size + back_samples_), 0.0);
-    const std::size_t new_mask = bigger.size() - 1;
-    const std::uint64_t live =
-        std::min<std::uint64_t>(appended_, ring_.size());
+void SamplerCdrSink::consume(const LaneView& in) {
+  const std::size_t lanes = nlanes_;
+  if (in.lanes != lanes) {
+    throw std::invalid_argument("SamplerCdrSink: lane count mismatch");
+  }
+  if (in.size + back_samples_ > mask_ + 1) {
+    // A tile larger than the sizing hint arrived: grow the window before
+    // writing, re-placing the live span under the new modulus, so
+    // oversized tiles can never overwrite samples pending instants still
+    // need.
+    const std::size_t entries = dsp::next_pow2(in.size + back_samples_);
+    std::vector<double> bigger(entries * lanes, 0.0);
+    const std::uint64_t live = std::min<std::uint64_t>(appended_, mask_ + 1);
     for (std::uint64_t k = appended_ - live; k < appended_; ++k) {
-      bigger[k & new_mask] = ring_[k & mask_];
+      std::copy_n(ring_.data() + (k & mask_) * lanes, lanes,
+                  bigger.data() + (k & (entries - 1)) * lanes);
     }
     ring_ = std::move(bigger);
-    mask_ = new_mask;
+    mask_ = entries - 1;
   }
-  double* ring = ring_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t start = in.start_index;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    ring[(start + i) & mask] = in.data[i];
-  }
+  // The tile lands in at most two contiguous runs of the ring (it is
+  // never longer than the ring minus the back span).
+  const std::size_t at = in.start_index & mask_;
+  const std::size_t head = std::min(in.size, mask_ + 1 - at);
+  std::copy_n(in.data, head * lanes, ring_.data() + at * lanes);
+  std::copy_n(in.data + head * lanes, (in.size - head) * lanes, ring_.data());
   if (in.size > 0) {
     if (in.start_index == 0) {
-      first_sample_ = in.data[0];
+      for (std::size_t l = 0; l < lanes; ++l) {
+        lanes_[l].first_sample = in.at(0, l);
+      }
       has_first_ = true;
     }
     appended_ = in.start_index + in.size;
     if (appended_ == total_) {
-      last_sample_ = in.data[in.size - 1];
-      final_ = true;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        lanes_[l].last_sample = in.at(in.size - 1, l);
+      }
+      has_last_ = true;
     }
   }
-  drain();
+  for (std::size_t l = 0; l < lanes; ++l) drain(l);
 }
 
 void SamplerCdrSink::finish() {
-  if (!final_ && total_ > 0 && appended_ == total_) {
-    last_sample_ = ring_[(total_ - 1) & mask_];
-    final_ = true;
+  const std::size_t lanes = nlanes_;
+  if (!has_last_ && total_ > 0 && appended_ == total_) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lanes_[l].last_sample = ring_[((total_ - 1) & mask_) * lanes + l];
+    }
+    has_last_ = true;
   }
-  drain();
+  for (std::size_t l = 0; l < lanes; ++l) drain(l);
 }
 
-bool SamplerCdrSink::fetch(util::Second t, double* v) const {
+bool SamplerCdrSink::fetch(std::size_t lane, util::Second t,
+                           double* v) const {
   // Fused availability test + Waveform::value_at over the logical stream:
   // one (t - t0)/dt per time point instead of one for the test and one for
   // the read.  The arithmetic (and therefore every interpolated value) is
@@ -259,83 +296,118 @@ bool SamplerCdrSink::fetch(util::Second t, double* v) const {
   const double idx = (t - t0_) / dt_;
   if (idx <= 0.0) {
     if (!has_first_) return false;
-    *v = first_sample_;
+    *v = lanes_[lane].first_sample;
     return true;
   }
   const auto lo = static_cast<std::uint64_t>(idx);
   if (lo + 1 >= total_) {
-    if (!final_) return false;
-    *v = last_sample_;
+    if (!has_last_) return false;
+    *v = lanes_[lane].last_sample;
     return true;
   }
   if (lo + 1 >= appended_) return false;
   const double frac = idx - static_cast<double>(lo);
-  const double a = ring_[lo & mask_];
-  const double b = ring_[(lo + 1) & mask_];
+  const double a = ring_[(lo & mask_) * nlanes_ + lane];
+  const double b = ring_[((lo + 1) & mask_) * nlanes_ + lane];
   *v = a + frac * (b - a);
   return true;
 }
 
-void SamplerCdrSink::drain() {
-  while (!done_) {
-    if (!pending_) {
-      if (phase_ == 0) {
-        const util::Second ui_start = clocks_.instant(ui_, 0);
-        if (ui_start >= end_) {
-          done_ = true;
+void SamplerCdrSink::drain(std::size_t l) {
+  Lane& lane = lanes_[l];
+  analog::DffSampler* slicers = slicers_.data() + l * nslicers_;
+  const bool dfe_on = !dfe_taps_.empty();
+  while (!lane.done) {
+    if (!lane.pending) {
+      if (lane.phase == 0) {
+        if (clocks_.instant(lane.ui, 0) >= end_) {
+          lane.done = true;
           break;
         }
-        if (dfe_on_) {
+        if (dfe_on) {
           // Latch this UI's feedback correction and decision phase before
           // its first instant is generated; both stay fixed across the
           // whole UI even when instants straddle block boundaries.
           double corr = 0.0;
           for (std::size_t k = 0; k < dfe_taps_.size(); ++k) {
-            corr += dfe_taps_[k] * dfe_hist_[k];
+            corr += dfe_taps_[k] * lane.dfe_hist[k];
           }
-          dfe_corr_ = corr;
-          dfe_fb_phase_ = cdr_.decision_phase();
-          dfe_fb_decided_ = false;
+          lane.dfe_corr = corr;
+          lane.dfe_fb_phase = lane.cdr.decision_phase();
+          lane.dfe_fb_decided = false;
         }
       }
       // Perturb exactly once per instant; the jitter RNG stream therefore
       // advances in the same order as the batch sampling loop even when an
       // instant has to wait for the next block.
-      pending_ = jitter_.perturb(clocks_.instant(ui_, phase_));
+      lane.pending = lane.jitter.perturb(clocks_.instant(lane.ui, lane.phase));
     }
-    const util::Second t = *pending_;
+    const util::Second t = *lane.pending;
     double v;
     double v_before;
     double v_after;
-    if (!fetch(t, &v) || !fetch(t - ap_half_, &v_before) ||
-        !fetch(t + ap_half_, &v_after)) {
+    if (!fetch(l, t, &v) || !fetch(l, t - ap_half_, &v_before) ||
+        !fetch(l, t + ap_half_, &v_after)) {
       break;  // wait for more samples (or the end of the stream)
     }
-    if (dfe_on_) {
+    if (dfe_on) {
       // The per-UI correction shifts the whole summing node, so all three
       // aperture fetches move together (a zero correction is bit-exact:
       // v - 0.0 == v) and the metastability crossing product is preserved.
-      v -= dfe_corr_;
-      v_before -= dfe_corr_;
-      v_after -= dfe_corr_;
-      if (!dfe_fb_decided_ && phase_ >= dfe_fb_phase_) {
-        dfe_fb_w_ = v > dfe_thr_ ? 1.0 : -1.0;  // pure comparator, no RNG
-        dfe_fb_decided_ = true;
+      v -= lane.dfe_corr;
+      v_before -= lane.dfe_corr;
+      v_after -= lane.dfe_corr;
+      if (!lane.dfe_fb_decided && lane.phase >= lane.dfe_fb_phase) {
+        std::size_t level = nslicers_;  // thresholds cleared, top down
+        while (level > 0 && !(v > thresholds_[level - 1])) --level;
+        lane.dfe_fb_w = static_cast<double>(2 * static_cast<int>(level) -
+                                            static_cast<int>(nslicers_)) /
+                        static_cast<double>(nslicers_);
+        lane.dfe_fb_decided = true;
       }
     }
-    cdr_.push(sampler_.decide(v, v_before, v_after));
-    pending_.reset();
-    if (++phase_ == clocks_.phases()) {
-      phase_ = 0;
-      ++ui_;
-      if (dfe_on_) {
+    if (nslicers_ == 1) {
+      lane.cdr.push(slicers[0].decide(v, v_before, v_after));
+    } else {
+      const bool msb = slicers[0].decide(v, v_before, v_after);
+      const bool above_low = slicers[1].decide(v, v_before, v_after);
+      const bool above_high = slicers[2].decide(v, v_before, v_after);
+      lane.cdr.push2(msb, above_low && !above_high);
+    }
+    lane.pending.reset();
+    if (++lane.phase == clocks_.phases()) {
+      lane.phase = 0;
+      ++lane.ui;
+      if (dfe_on) {
         for (std::size_t k = dfe_taps_.size() - 1; k > 0; --k) {
-          dfe_hist_[k] = dfe_hist_[k - 1];
+          lane.dfe_hist[k] = lane.dfe_hist[k - 1];
         }
-        dfe_hist_[0] = dfe_fb_decided_ ? dfe_fb_w_ : 0.0;
+        lane.dfe_hist[0] = lane.dfe_fb_decided ? lane.dfe_fb_w : 0.0;
       }
     }
   }
+}
+
+std::vector<std::uint8_t> SamplerCdrSink::recovered_bits(
+    std::size_t lane) const {
+  const std::vector<std::uint8_t>& msb = lanes_[lane].cdr.recovered();
+  if (nslicers_ == 1) return msb;
+  const std::vector<std::uint8_t>& lsb = lanes_[lane].cdr.aux_recovered();
+  std::vector<std::uint8_t> bits;
+  bits.reserve(msb.size() * 2);
+  for (std::size_t i = 0; i < msb.size(); ++i) {
+    bits.push_back(msb[i]);
+    bits.push_back(i < lsb.size() ? lsb[i] : 0);
+  }
+  return bits;
+}
+
+std::uint64_t SamplerCdrSink::metastable_count(std::size_t lane) const {
+  std::uint64_t count = 0;
+  for (std::size_t k = 0; k < nslicers_; ++k) {
+    count += slicers_[lane * nslicers_ + k].metastable_count();
+  }
+  return count;
 }
 
 }  // namespace serdes::pipe

@@ -15,8 +15,10 @@
 //   RfiFrontEndStage   — analog::RfiStage::process given the stream DC mean
 //   RestoringStage     — analog::RestoringInverter::process, blockwise
 //   WaveformTapStage   — pass-through probe retaining the diagnostic window
-//   SamplerCdrSink     — multiphase sampling + DFF + oversampling CDR over a
-//                        rolling block window
+//   SamplerCdrSink     — the one sampler/CDR sink: per-lane jittered
+//                        multiphase sampling, NRZ or PAM4 slicers, DFE
+//                        feedback and oversampling CDR over one rolling
+//                        interleaved window (scalar = one lane)
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,7 @@
 #include "channel/noise.h"
 #include "digital/cdr.h"
 #include "digital/sampling.h"
+#include "pipe/lane_block.h"
 #include "pipe/stage.h"
 #include "util/random.h"
 #include "util/units.h"
@@ -57,6 +60,7 @@ class LevelPulseSource {
   [[nodiscard]] std::uint64_t total_samples() const { return total_; }
   [[nodiscard]] util::Second dt() const { return dt_; }
   [[nodiscard]] util::Second stream_t0() const { return t0_; }
+  [[nodiscard]] const std::vector<double>& levels() const { return levels_; }
 
  private:
   std::vector<double> levels_;
@@ -184,28 +188,50 @@ class WaveformTapStage final : public Stage {
   util::Second dt_{1e-12};
 };
 
-/// Terminal sink: multiphase sampling instants (with jitter), DFF decision
-/// and oversampling CDR, evaluated incrementally over a rolling window of
-/// the restored waveform.  Holds O(block + aperture/jitter span) samples
-/// regardless of stream length, and reproduces digital::sample_waveform +
-/// OversamplingCdr::recover bit-for-bit (including the end-of-waveform
-/// clamping of Waveform::value_at).
+/// Terminal sink: the receiver's sampling elements (DFF slicers at
+/// jittered multiphase instants) and oversampling CDR, evaluated
+/// incrementally over a rolling window of the sampler-input stream, for a
+/// tile of one or more lanes.  Every lane keeps its own sampling cursor,
+/// jitter model, slicers, CDR and DFE history, all fed from one shared
+/// interleaved window, so lane l reproduces digital::sample_waveform +
+/// OversamplingCdr::recover over lane l alone bit-for-bit (including the
+/// end-of-stream clamping of Waveform::value_at); a lane whose instant
+/// still waits on the next block never stalls the others' RNG draw order.
+/// Holds O(block + aperture/jitter span) samples regardless of stream
+/// length.  A scalar stream is the one-lane tile.
+///
+/// The slicer thresholds are the modulation.  One threshold is NRZ: one
+/// slicer per instant feeding OversamplingCdr::push.  Three thresholds
+/// (low < mid < high) are PAM4: the mid, low and high slicers draw in that
+/// order, the gray code ((0,0) (0,1) (1,1) (1,0) for levels 0..3) reduces
+/// them to MSB = above mid and LSB = above low AND not above high, and the
+/// CDR consumes both rails through push2 (edges and phase picks on MSB).
 class SamplerCdrSink {
  public:
   struct Config {
-    util::Hertz bit_rate;
+    /// Symbol rate: the clock the multiphase generator runs at (the bit
+    /// rate under NRZ, half of it under PAM4).
+    util::Hertz symbol_rate;
     int oversampling = 5;
     util::Second phase_offset{0.0};
     double ppm_offset = 0.0;
+    /// Settings shared by every lane; the seed vectors below replace the
+    /// seed fields lane by lane, and `thresholds` the slicer threshold.
     channel::JitterModel::Config jitter{};
     analog::DffSampler::Config sampler{};
     digital::CdrConfig cdr{};
-    /// DFE post-cursor taps (volts in the sink's input domain).  Tap k
-    /// is weighted by the feedback decision from k+1 UIs ago; empty
-    /// disables the feedback path entirely (and all-zero taps are
-    /// bit-identical to it — the correction is exactly 0.0).
+    /// Ascending slicer thresholds: {t} (NRZ) or {low, mid, high} (PAM4).
+    std::vector<double> thresholds;
+    /// One entry per lane (equal, non-zero lengths).  Lane l's slicers
+    /// draw from sampler_seeds[l] + 0/1/2 in draw order (mid, low, high).
+    std::vector<std::uint64_t> jitter_seeds;
+    std::vector<std::uint64_t> sampler_seeds;
+    /// DFE post-cursor taps (volts in the sink's input domain), shared
+    /// by every lane.  Tap k is weighted by the feedback symbol from k+1
+    /// UIs ago; empty disables the feedback path entirely (and all-zero
+    /// taps are bit-identical to it — the correction is exactly 0.0).
     std::vector<double> dfe_taps;
-    /// Stream geometry (known up front: framed bits x samples per UI).
+    /// Stream geometry (known up front: framed symbols x samples per UI).
     std::uint64_t total_samples = 0;
     util::Second stream_t0{0.0};
     util::Second dt{1e-12};
@@ -215,30 +241,70 @@ class SamplerCdrSink {
 
   explicit SamplerCdrSink(const Config& config);
 
-  /// Appends one block and evaluates every sampling instant whose needed
-  /// neighbourhood is now available.
-  void consume(const BlockView& in);
+  /// Appends one tile and evaluates, per lane, every sampling instant
+  /// whose needed neighbourhood is now available.
+  void consume(const LaneView& in);
+  void consume(const BlockView& in) {
+    consume(LaneView{in.data, in.size, 1, in.start_index, in.stream_t0,
+                     in.dt, in.last});
+  }
 
   /// Evaluates the remaining instants with end-of-stream clamping.
   void finish();
 
-  [[nodiscard]] const digital::OversamplingCdr& cdr() const { return cdr_; }
-  [[nodiscard]] std::uint64_t metastable_count() const {
-    return sampler_.metastable_count();
+  [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
+  [[nodiscard]] const digital::OversamplingCdr& cdr(std::size_t lane) const {
+    return lanes_[lane].cdr;
   }
+  /// Lane `lane`'s recovered bit stream (PAM4: MSB/LSB interleaved per
+  /// symbol, MSB first — the TX gray mapping's inverse).
+  [[nodiscard]] std::vector<std::uint8_t> recovered_bits(
+      std::size_t lane) const;
+  [[nodiscard]] std::uint64_t metastable_count(std::size_t lane) const;
 
  private:
-  void drain();
-  /// Fused availability test + logical-stream interpolation: writes the
-  /// Waveform::value_at-identical sample into `*v` and returns true iff
-  /// the instant's neighbourhood has arrived (or end-of-stream clamping
-  /// applies).
-  [[nodiscard]] bool fetch(util::Second t, double* v) const;
+  // ---- Decision-feedback equalizer state (per lane) -------------------------
+  // The correction for UI n is latched once, when the UI's first instant
+  // is generated: c_n = sum_k taps[k] * w_{n-1-k}, a per-UI step function
+  // subtracted from every fetched value of the UI (all three aperture
+  // fetches of every phase), so the glitch-filter votes see one
+  // consistent summing-node waveform.  The feedback symbol w_n comes from
+  // a pure comparator ladder over the thresholds (no RNG draw — the
+  // slicers' noise/metastable streams stay untouched) at the CDR's pick
+  // phase, weighted -1 .. +1 in equal steps ({-1, +1} NRZ, {-1, -1/3,
+  // +1/3, +1} PAM4), and enters the history at the UI wrap: strictly
+  // causal.
+  struct Lane {
+    Lane(const channel::JitterModel::Config& j, const digital::CdrConfig& c)
+        : jitter(j), cdr(c) {}
+    channel::JitterModel jitter;
+    digital::OversamplingCdr cdr;
+    double first_sample = 0.0;
+    double last_sample = 0.0;
+    std::uint64_t ui = 0;
+    int phase = 0;
+    std::optional<util::Second> pending;
+    bool done = false;
+    std::vector<double> dfe_hist;  // w_{n-1}, w_{n-2}, ...; 0 pre-stream
+    double dfe_corr = 0.0;
+    int dfe_fb_phase = 0;
+    bool dfe_fb_decided = false;
+    double dfe_fb_w = 0.0;
+  };
 
-  digital::MultiphaseClockGenerator clocks_;
-  channel::JitterModel jitter_;
-  analog::DffSampler sampler_;
-  digital::OversamplingCdr cdr_;
+  void drain(std::size_t lane);
+  /// Fused availability test + logical-stream interpolation: writes the
+  /// Waveform::value_at-identical sample of lane `lane` into `*v` and
+  /// returns true iff the instant's neighbourhood has arrived (or
+  /// end-of-stream clamping applies).
+  [[nodiscard]] bool fetch(std::size_t lane, util::Second t, double* v) const;
+
+  digital::MultiphaseClockGenerator clocks_;  // config-only: shared
+  std::vector<Lane> lanes_;
+  std::vector<analog::DffSampler> slicers_;  // lane-major, draw order
+  std::vector<double> thresholds_;           // ascending
+  std::size_t nlanes_;
+  std::size_t nslicers_;
 
   std::uint64_t total_;
   util::Second t0_;
@@ -246,37 +312,17 @@ class SamplerCdrSink {
   util::Second end_;
   util::Second ap_half_;
 
-  std::vector<double> ring_;  // power-of-two capacity
-  std::size_t mask_ = 0;      // ring_.size() - 1
+  /// Interleaved rolling window: stream sample i of lane l lives at
+  /// ring_[(i & mask_) * lanes + l]; the capacity is a power of two of
+  /// sample indices, so the index wrap is a mask, not a division.
+  std::vector<double> ring_;
+  std::size_t mask_ = 0;  // sample-index capacity - 1
   std::size_t back_samples_ = 0;
   std::uint64_t appended_ = 0;
-  double first_sample_ = 0.0;
-  double last_sample_ = 0.0;
   bool has_first_ = false;
-  bool final_ = false;
+  bool has_last_ = false;
 
-  std::uint64_t ui_ = 0;
-  int phase_ = 0;
-  std::optional<util::Second> pending_;
-  bool done_ = false;
-
-  // ---- Decision-feedback equalizer state -----------------------------------
-  // The correction for UI n is latched once, when the UI's first instant
-  // is generated: c_n = sum_k taps[k] * w_{n-1-k}, a per-UI step function
-  // subtracted from every fetched value of the UI (all three aperture
-  // fetches of every phase), so the glitch-filter votes see one
-  // consistent summing-node waveform.  The feedback decision w_n comes
-  // from a pure comparator (no RNG draw — the sampler's noise/metastable
-  // streams stay untouched) at the CDR's current pick phase, and enters
-  // the history at the UI wrap: strictly causal.
-  bool dfe_on_ = false;
   std::vector<double> dfe_taps_;
-  std::vector<double> dfe_hist_;  // w_{n-1}, w_{n-2}, ... in {+1,-1}, 0 pre-stream
-  double dfe_thr_ = 0.0;          // comparator threshold (sampler's)
-  double dfe_corr_ = 0.0;
-  int dfe_fb_phase_ = 0;
-  bool dfe_fb_decided_ = false;
-  double dfe_fb_w_ = 0.0;
 };
 
 }  // namespace serdes::pipe

@@ -10,12 +10,7 @@
 //     run_batch seed derivation (toggling coupling never reshuffles lane
 //     noise), and a 4-lane PAM4 + FEXT bus in "both" mode keeps the
 //     MC-vs-stat cross-check band per lane.
-//  3. PAM4 with both extra thresholds disabled degrades to NRZ behavior:
-//     only the middle slicer decides, so an outer-symbols-only stream is
-//     sliced exactly like NRZ — error-free at a clean point, and at a
-//     noisy point the per-decision error rate statistically matches the
-//     NRZ link at the same operating point.
-//  4. modulation / BusSpec JSON round-trips, validation diagnostics
+//  3. modulation / BusSpec JSON round-trips, validation diagnostics
 //     (did-you-mean included), and the schema_version absent-means-1
 //     contract for RunReport / BusReport / LintReport.
 #include <gtest/gtest.h>
@@ -26,16 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "channel/channel.h"
-
 #include "api/bus_spec.h"
-#include "api/channel_factory.h"
 #include "api/link_builder.h"
 #include "api/link_spec.h"
 #include "api/simulator.h"
 #include "api/spec_json.h"
-#include "core/config.h"
-#include "core/link.h"
 #include "lint/lint.h"
 #include "util/json.h"
 #include "util/units.h"
@@ -221,115 +211,6 @@ TEST(Bus, CouplingToggleKeepsLaneSeedDerivation) {
     EXPECT_EQ(with.lanes[i].spec.seed,
               Simulator::derive_lane_seed(coupled.base.seed, i));
   }
-}
-
-// ---- PAM4 degrade-to-NRZ ---------------------------------------------------
-
-/// Payload whose odd bits are zero: gray pairs (b,0) map to symbols
-/// {0, 3} only — the two outer rails, i.e. NRZ signaling on the MSB.
-std::vector<std::uint8_t> outer_symbol_payload(std::size_t nbits) {
-  std::vector<std::uint8_t> bits(nbits, 0);
-  std::uint64_t x = 0x243f6a8885a308d3ull;  // deterministic xorshift
-  for (std::size_t i = 0; i < nbits; i += 2) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    bits[i] = static_cast<std::uint8_t>(x & 1);
-  }
-  return bits;
-}
-
-core::LinkConfig degrade_config(double noise_rms) {
-  core::LinkConfig cfg = core::LinkConfig::paper_default();
-  // Sync word with zeros at odd bit positions (emitted LSB-first right
-  // after the even-length preamble), so the whole wire stream keeps the
-  // outer-symbols-only property.
-  cfg.framing.sync_word = 0x44110505u;
-  cfg.channel_noise_rms = noise_rms;
-  // Pin the per-sample noise density scale to 1 for both modulations:
-  // NRZ and PAM4 run at different sample rates, and the degrade claim is
-  // about identical per-decision statistics.
-  cfg.noise_reference_bandwidth = util::hertz(1e12);
-  return cfg;
-}
-
-std::unique_ptr<channel::Channel> make_channel(const core::LinkConfig& cfg) {
-  return ChannelFactory::instance().create(ChannelSpec::flat(4.0), cfg);
-}
-
-TEST(Pam4Degrade, ExtraThresholdsOffIsErrorFreeAtACleanPoint) {
-  const std::vector<std::uint8_t> payload = outer_symbol_payload(4096);
-
-  core::LinkConfig nrz = degrade_config(0.0);
-  core::SerDesLink nrz_link(nrz, make_channel(nrz));
-  const core::LinkResult nrz_result = nrz_link.run(payload);
-  EXPECT_TRUE(nrz_result.error_free());
-
-  core::LinkConfig pam4 = degrade_config(0.0);
-  pam4.modulation = core::LinkConfig::Modulation::kPam4;
-  pam4.pam4_extra_thresholds = false;
-  core::SerDesLink pam4_link(pam4, make_channel(pam4));
-  const core::LinkResult pam4_result = pam4_link.run(payload);
-  EXPECT_TRUE(pam4_result.error_free())
-      << "aligned " << pam4_result.aligned << ", errors "
-      << pam4_result.bit_errors;
-}
-
-TEST(Pam4Degrade, ExtraThresholdsOffTracksTheFullNrzEye) {
-  // "Degrades to NRZ BER behavior" means the slicer stops paying the
-  // PAM4 sub-eye penalty: with both extra thresholds disabled only the
-  // middle slicer decides, so an outer-symbols-only stream faces the
-  // full-swing eye — three times the inner-threshold distance.  At a
-  // noise level that closes the third-swing sub-eyes but leaves the
-  // full-swing eye open, a full four-level PAM4 link shows heavy errors
-  // while the degraded link and a true NRZ link at the same operating
-  // point both stay orders of magnitude below.
-  const std::size_t nbits = 40000;
-  const double noise = 0.15;
-
-  std::vector<std::uint8_t> full_payload(nbits, 0);
-  std::uint64_t x = 0x13198a2e03707344ull;
-  for (std::size_t i = 0; i < nbits; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    full_payload[i] = static_cast<std::uint8_t>(x & 1);
-  }
-
-  core::LinkConfig four_level = degrade_config(noise);
-  four_level.modulation = core::LinkConfig::Modulation::kPam4;
-  core::SerDesLink four_level_link(four_level, make_channel(four_level));
-  const core::LinkResult four = four_level_link.run(full_payload);
-  ASSERT_TRUE(four.aligned);
-  const double rate_full = static_cast<double>(four.bit_errors) /
-                           static_cast<double>(four.payload_bits_compared);
-
-  const std::vector<std::uint8_t> outer_payload = outer_symbol_payload(nbits);
-  core::LinkConfig degraded = degrade_config(noise);
-  degraded.modulation = core::LinkConfig::Modulation::kPam4;
-  degraded.pam4_extra_thresholds = false;
-  core::SerDesLink degraded_link(degraded, make_channel(degraded));
-  const core::LinkResult deg = degraded_link.run(outer_payload);
-  ASSERT_TRUE(deg.aligned);
-  const double rate_degraded =
-      static_cast<double>(deg.bit_errors) /
-      static_cast<double>(deg.payload_bits_compared);
-
-  core::LinkConfig nrz = degrade_config(noise);
-  core::SerDesLink nrz_link(nrz, make_channel(nrz));
-  const core::LinkResult nrz_result = nrz_link.run(outer_payload);
-  ASSERT_TRUE(nrz_result.aligned);
-  const double rate_nrz =
-      static_cast<double>(nrz_result.bit_errors) /
-      static_cast<double>(nrz_result.payload_bits_compared);
-
-  EXPECT_GT(rate_full, 1e-3) << "sub-eyes unexpectedly open";
-  EXPECT_LT(rate_degraded, rate_full / 50.0)
-      << "degraded " << rate_degraded << " vs full pam4 " << rate_full;
-  EXPECT_LT(rate_nrz, rate_full / 50.0)
-      << "nrz " << rate_nrz << " vs full pam4 " << rate_full;
-  // NRZ-class absolute rate for the degraded link.
-  EXPECT_LT(rate_degraded, 5e-4);
 }
 
 // ---- modulation field ------------------------------------------------------

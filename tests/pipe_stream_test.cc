@@ -16,6 +16,7 @@
 #include "batch_reference.h"
 #include "channel/channel.h"
 #include "core/link.h"
+#include "pipe/lane_block.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/prbs.h"
@@ -103,36 +104,126 @@ TEST(ChannelStreaming, StreamResetRestartsFromZeroState) {
   }
 }
 
-TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
-  // A block far larger than Config::block_samples must not wrap the rolling
-  // window over itself — the sink grows it and stays bit-identical to the
-  // batch sampling chain.
-  const analog::Waveform w = test_wave(128);
-  pipe::SamplerCdrSink::Config c;
-  c.bit_rate = util::gigahertz(2.0);
-  c.oversampling = 5;
-  c.total_samples = w.size();
-  c.stream_t0 = w.start_time();
-  c.dt = w.sample_period();
-  c.block_samples = 64;  // hint far below the block actually fed
-  pipe::SamplerCdrSink sink(c);
+/// One grow-path case of the sampler/CDR sink: lane count and modulation.
+struct GrowCase {
+  const char* name;
+  std::size_t lanes;
+  bool pam4;
+};
 
-  pipe::Block blk;
-  blk.samples() = w.samples();
-  blk.set_start_index(0);
-  blk.set_stream_t0(w.start_time());
-  blk.set_dt(w.sample_period());
-  blk.set_last(true);
-  sink.consume(blk.view());
-  sink.finish();
+/// Lane `lane`'s test stream: NRZ over a lane-specific PRBS window, or a
+/// four-level stream (two NRZ rails weighted 2/3 and 1/3 of the swing).
+analog::Waveform grow_wave(std::size_t lane, bool pam4) {
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs15);
+  (void)prbs.next_bits(17 * lane);
+  const auto nrz = [&] {
+    return analog::Waveform::nrz(prbs.next_bits(128), util::nanoseconds(0.5),
+                                 16, 0.0, 1.8, util::picoseconds(100.0));
+  };
+  analog::Waveform w = nrz();
+  if (pam4) {
+    const analog::Waveform lsb = nrz();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w.samples()[i] = w.samples()[i] * (2.0 / 3.0) + lsb.samples()[i] / 3.0;
+    }
+  }
+  return w;
+}
 
-  digital::MultiphaseClockGenerator clocks(c.bit_rate, c.oversampling,
-                                           c.phase_offset, c.ppm_offset);
-  channel::JitterModel jitter(c.jitter);
-  analog::DffSampler sampler(c.sampler);
-  const auto samples = digital::sample_waveform(w, clocks, sampler, &jitter);
+/// Whole-waveform reference for one lane: the batch sampling loop
+/// (digital::sample_waveform + OversamplingCdr::recover for NRZ; the same
+/// instant order through the mid/low/high slicers and push2 for PAM4).
+std::vector<std::uint8_t> reference_bits(
+    const analog::Waveform& w, const pipe::SamplerCdrSink::Config& c,
+    std::size_t lane) {
+  const digital::MultiphaseClockGenerator clocks(
+      c.symbol_rate, c.oversampling, c.phase_offset, c.ppm_offset);
+  channel::JitterModel::Config jc = c.jitter;
+  jc.seed = c.jitter_seeds[lane];
+  channel::JitterModel jitter(jc);
+  const auto slicer = [&](std::size_t threshold, std::uint64_t offset) {
+    analog::DffSampler::Config sc = c.sampler;
+    sc.threshold = c.thresholds[threshold];
+    sc.seed = c.sampler_seeds[lane] + offset;
+    return analog::DffSampler(sc);
+  };
   digital::OversamplingCdr cdr(c.cdr);
-  EXPECT_EQ(sink.cdr().recovered(), cdr.recover(samples));
+  if (c.thresholds.size() == 1) {
+    analog::DffSampler sampler = slicer(0, 0);
+    return cdr.recover(digital::sample_waveform(w, clocks, sampler, &jitter));
+  }
+  analog::DffSampler mid = slicer(1, 0);
+  analog::DffSampler low = slicer(0, 1);
+  analog::DffSampler high = slicer(2, 2);
+  for (std::uint64_t ui = 0; clocks.instant(ui, 0) < w.end_time(); ++ui) {
+    for (int p = 0; p < clocks.phases(); ++p) {
+      const util::Second t = jitter.perturb(clocks.instant(ui, p));
+      const bool msb = mid.sample(w, t);
+      const bool above_low = low.sample(w, t);
+      const bool above_high = high.sample(w, t);
+      cdr.push2(msb, above_low && !above_high);
+    }
+  }
+  std::vector<std::uint8_t> bits;
+  for (std::size_t i = 0; i < cdr.recovered().size(); ++i) {
+    bits.push_back(cdr.recovered()[i]);
+    bits.push_back(cdr.aux_recovered()[i]);
+  }
+  return bits;
+}
+
+TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
+  // A tile far larger than Config::block_samples must not wrap the rolling
+  // window over itself — the sink grows it (re-placing the live span a
+  // first small tile left behind) and every lane stays bit-identical to
+  // the batch sampling chain.
+  for (const GrowCase& gc : {GrowCase{"nrz x1", 1, false},
+                             GrowCase{"nrz x3", 3, false},
+                             GrowCase{"pam4 x1", 1, true}}) {
+    SCOPED_TRACE(gc.name);
+    std::vector<analog::Waveform> waves;
+    for (std::size_t l = 0; l < gc.lanes; ++l) {
+      waves.push_back(grow_wave(l, gc.pam4));
+    }
+    const analog::Waveform& w = waves[0];
+    pipe::SamplerCdrSink::Config c;
+    c.symbol_rate = util::gigahertz(2.0);
+    c.oversampling = 5;
+    c.jitter.random_rms = util::picoseconds(2.0);
+    c.thresholds = gc.pam4 ? std::vector<double>{0.3, 0.9, 1.5}
+                           : std::vector<double>{0.9};
+    for (std::size_t l = 0; l < gc.lanes; ++l) {
+      c.jitter_seeds.push_back(11 + 10 * l);
+      c.sampler_seeds.push_back(12 + 10 * l);
+    }
+    c.total_samples = w.size();
+    c.stream_t0 = w.start_time();
+    c.dt = w.sample_period();
+    c.block_samples = 64;  // hint far below the second tile
+    pipe::SamplerCdrSink sink(c);
+
+    pipe::LaneBlock tile;
+    const std::size_t split = 40;
+    for (const auto& [begin, end] :
+         {std::pair<std::size_t, std::size_t>{0, split},
+          std::pair<std::size_t, std::size_t>{split, w.size()}}) {
+      tile.shape(end - begin, gc.lanes, begin, w.start_time(),
+                 w.sample_period(), end == w.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t l = 0; l < gc.lanes; ++l) {
+          tile.data()[(i - begin) * gc.lanes + l] = waves[l].samples()[i];
+        }
+      }
+      sink.consume(tile.view());
+    }
+    sink.finish();
+
+    for (std::size_t l = 0; l < gc.lanes; ++l) {
+      const auto expected = reference_bits(waves[l], c, l);
+      ASSERT_FALSE(expected.empty()) << "lane " << l;
+      EXPECT_EQ(sink.recovered_bits(l), expected) << "lane " << l;
+    }
+  }
 }
 
 /// End-to-end: the streamed LinkResult must match the whole-waveform

@@ -207,6 +207,34 @@ TEST(SimulatorAnalysisModes, StatReportJsonRoundTripsExactly) {
             report.stat->bathtub_ber.size());
 }
 
+TEST(SimulatorAnalysisModes, StatOnlyReportCarriesNoCrossCheckOutcome) {
+  // No MC ran, so there is no cross-check verdict to report: the stat
+  // section says cross_checked: false and omits consistent / mc_ber /
+  // band_*, and stat_report_from_json still accepts a report that has
+  // them.  JSON round-trip stays a fixed point.
+  api::LinkSpec spec = api::LinkSpec::paper_default();
+  spec.analysis = "stat";
+  const util::Json j = api::to_json(api::Simulator().run(spec));
+  const util::Json* stat = j.find("stat");
+  ASSERT_NE(stat, nullptr);
+  ASSERT_NE(stat->find("cross_checked"), nullptr);
+  EXPECT_FALSE(stat->find("cross_checked")->as_bool());
+  for (const char* key : {"consistent", "mc_ber", "band_low", "band_high"}) {
+    EXPECT_EQ(stat->find(key), nullptr) << key;
+  }
+  const std::string once = j.dump();
+  EXPECT_EQ(api::to_json(api::run_report_from_json(util::Json::parse(once)))
+                .dump(),
+            once);
+
+  util::Json legacy = *stat;
+  legacy.set("consistent", false);
+  legacy.set("mc_ber", 0.0);
+  const stat::StatReport parsed = api::stat_report_from_json(legacy);
+  EXPECT_FALSE(parsed.cross_checked);
+  EXPECT_EQ(api::to_json(parsed).dump(), stat->dump());
+}
+
 // ---------------------------------------------------------------------------
 // MC-vs-stat cross-validation: the heart of the "both" regression tier.
 // ---------------------------------------------------------------------------

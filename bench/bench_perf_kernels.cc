@@ -39,7 +39,6 @@
 #include "opt/optimizer.h"
 #include "pipe/lane_block.h"
 #include "pipe/lane_stages.h"
-#include "pipe/pam_stages.h"
 #include "pipe/stages.h"
 #include "util/fs.h"
 #include "util/prbs.h"
@@ -217,11 +216,13 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
                   channel::LossyLineChannel(p, cfg.sample_period()));
   }
 
-  const auto stage_bench = [&](const char* name, pipe::Stage& stage,
-                               double fill) {
-    pipe::Block in;
-    in.samples().assign(block, fill);
-    pipe::Block out;
+  // The one-lane stages: the receiver front end every single link runs
+  // (the one-lane tile), in the same block loop as the lanes8 kernels.
+  const auto stage_bench = [&](const char* name, auto& stage, double fill) {
+    pipe::LaneBlock in;
+    in.shape(block, 1, 0, util::seconds(0.0), cfg.sample_period(), false);
+    std::fill(in.data(), in.data() + block, fill);
+    pipe::LaneBlock out;
     run_bench(results, name, nsamp, [&] {
       for (std::size_t i = 0; i < nsamp; i += block) {
         stage.process(in.view(), out);
@@ -229,22 +230,30 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
     });
   };
   {
-    pipe::AwgnStage awgn(0.001, 1234);
-    stage_bench("stage_awgn_sample", awgn, 0.5);
+    // The AWGN fan-out reads the shared head block, not a tile.
+    pipe::Block shared;
+    shared.samples().assign(block, 0.5);
+    pipe::LaneAwgnStage awgn(0.001, {1234});
+    pipe::LaneBlock out;
+    run_bench(results, "stage_awgn_sample", nsamp, [&] {
+      for (std::size_t i = 0; i < nsamp; i += block) {
+        awgn.process(shared.view(), out);
+      }
+    });
   }
   {
-    pipe::CtleStage ctle(util::decibels(4.0), util::megahertz(700.0),
-                         cfg.sample_period());
+    pipe::LaneCtleStage ctle(util::decibels(4.0), util::megahertz(700.0),
+                             cfg.sample_period(), 1);
     stage_bench("stage_ctle_sample", ctle, 0.5);
   }
   core::Receiver rx(cfg);
   {
-    pipe::RfiFrontEndStage rfi(rx.rfi_stage(), cfg.sample_period());
-    rfi.set_mean(0.0005);
+    pipe::LaneRfiStage rfi(rx.rfi_stage(), cfg.sample_period(), 1);
+    rfi.set_mean(0, 0.0005);
     stage_bench("stage_rfi_sample", rfi, 0.0005);
   }
   {
-    pipe::RestoringStage restore(rx.restoring(), cfg.sample_period());
+    pipe::LaneRestoreStage restore(rx.restoring(), cfg.sample_period(), 1);
     stage_bench("stage_restore_sample", restore, 0.9);
   }
 
@@ -301,7 +310,7 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
   // ---- Lane-batched (SoA) kernels: 8 lanes, items = lane-samples ----------
   // Each is the stage_* kernel above across an 8-lane tile; the floors pin
   // the vectorization win (per-lane throughput must beat 1/8 of a wide
-  // margin over the scalar kernel, not merely match it).
+  // margin over the one-lane kernel, not merely match it).
   {
     constexpr std::size_t kLanes = 8;
     std::vector<std::uint64_t> lane_seeds;

@@ -35,8 +35,9 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # (e.g. a careless --write on a build without the bench), the gate fails
 # instead of silently ungating the kernel.  The stat-engine kernel backs
 # the `serdes_cli stat` path and the "stat"/"both" sweep scenarios; the
-# scalar AWGN and restore kernels run on every sample of both streaming MC
-# passes; the lanes8 kernels pin the SoA lane-tiling speedup (the batch8 floor is
+# one-lane AWGN and restore kernels (a single link is the one-lane tile)
+# run on every sample of both streaming MC passes; the lanes8 kernels pin
+# the SoA lane-tiling speedup (the batch8 floor is
 # deliberately >= 3x the batch4 floor, so losing the tiling win is a
 # gate failure, not drift).
 REQUIRED = (

@@ -93,6 +93,22 @@ void OnePoleLowPass::process_lanes(const double* in, double* out,
                                    double* x1, double* y1) const {
   const double b = b_;
   const double a = a_;
+  if (lanes == 1) {
+    // Every single-lane run lands here: the state stays in registers, as
+    // in process_block, instead of a load/store through x1/y1 per sample.
+    double xs = *x1;
+    double ys = *y1;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = in[i];
+      const double y = b * (x + xs) + a * ys;
+      xs = x;
+      ys = y;
+      out[i] = y;
+    }
+    *x1 = xs;
+    *y1 = ys;
+    return;
+  }
 #if SERDES_X86_DISPATCH
   if (lanes == 8 && util::cpu_has_avx2()) {
     one_pole_lanes8_avx2(b, a, in, out, n, x1, y1);

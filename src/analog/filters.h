@@ -66,7 +66,8 @@ class OnePoleLowPass : public Filter {
   /// the same operation order as process_block, so lane l of a tile is
   /// bit-identical to a scalar filter over lane l alone; the inner lane
   /// loop carries no dependence and vectorizes (explicit AVX2 for
-  /// lanes == 8, non-FMA so the rounding matches the scalar loop).
+  /// lanes == 8, non-FMA so the rounding matches the scalar loop; lanes ==
+  /// 1 keeps the state in registers like process_block).
   /// `in` and `out` may alias.
   void process_lanes(const double* in, double* out, std::size_t n,
                      std::size_t lanes, double* x1, double* y1) const;

@@ -51,7 +51,7 @@ struct BusSpec {
   std::vector<std::vector<double>> next_coupling;
 
   /// True when any off-diagonal coupling entry is nonzero — the bus needs
-  /// the crosstalk-aware scalar path instead of the batched one.
+  /// the crosstalk-aware per-lane path instead of the lane-tiled one.
   [[nodiscard]] bool has_coupling() const;
 
   /// First problem found, or "" when runnable.  Covers lane count, matrix

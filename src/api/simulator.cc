@@ -20,13 +20,11 @@
 namespace serdes::api {
 
 bool Simulator::tile_eligible(const LinkSpec& spec) {
-  // PAM4 runs the dedicated slicer/CDR sink, which the SoA lane tiles do
-  // not model — PAM4 lanes always take the scalar path.
-  // Trained lanes are excluded as well: each lane trains its own EQ from
-  // its derived seed, so tiles could no longer share one instruction
-  // stream over identical physics.
+  // Trained lanes are excluded: each lane trains its own EQ from its
+  // derived seed, so tiles could no longer share one instruction stream
+  // over identical physics.
   return spec.lane_batch > 1 && spec.analysis == "mc" &&
-         spec.modulation == "nrz" && spec.eq != "trained";
+         spec.eq != "trained";
 }
 
 std::string Simulator::tile_key(const LinkSpec& spec) {
@@ -184,8 +182,11 @@ std::vector<RunReport> Simulator::run_lane_tile(
       link.measure(base.payload_bits, base.chunk_bits,
                    options_.confidence_level, base.prbs_order);
 
-  const double threshold = link.receiver().decision_threshold();
-  const core::EyeAnalyzer eye(cfg.bit_rate, options_.eye_bins_per_ui);
+  // The eye is folded per line UI: the symbol period under PAM4.
+  const core::EyeAnalyzer eye(
+      util::hertz(cfg.bit_rate.value() /
+                  static_cast<double>(cfg.bits_per_ui())),
+      options_.eye_bins_per_ui);
   for (std::size_t i = 0; i < lane_specs.size(); ++i) {
     core::LaneOutcome& o = outcomes[i];
     RunReport& report = reports[i];
@@ -194,8 +195,8 @@ std::vector<RunReport> Simulator::run_lane_tile(
     report.cdr_decision_phase = o.cdr_decision_phase;
     report.cdr_phase_updates = o.cdr_phase_updates;
     report.rx_swing_pp = o.rx_swing_pp;
-    report.decision_threshold = threshold;
-    report.eye = eye.analyze(o.restored, threshold);
+    report.decision_threshold = o.decision_threshold;
+    report.eye = eye.analyze(o.restored, o.decision_threshold);
     if (lane_specs[i].capture_waveforms) {
       report.tx_out = std::move(o.tx_out);
       report.channel_out = std::move(o.channel_out);

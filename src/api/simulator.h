@@ -99,8 +99,8 @@ class Simulator {
     /// When true (default), run_batch groups lanes whose specs request
     /// lane_batch > 1 (and differ only in name/seed) into SoA lane tiles
     /// executed by core::LaneLink — one instruction stream, N lanes.
-    /// Reports are bit-identical either way; turn off to force the scalar
-    /// per-lane path (the bit-identity reference).
+    /// Reports are bit-identical either way; turn off to run every lane
+    /// as its own one-lane link (the bit-identity reference).
     bool lane_tiling = true;
     /// Sampling-phase resolution of the stat engine's bathtub/contours.
     int stat_phase_bins_per_ui = 64;
@@ -136,8 +136,8 @@ class Simulator {
 
   /// Runs an N-lane bus (see api/bus_spec.h).  A zero-coupling bus routes
   /// through run_batch — per-lane reports byte-identical to standalone
-  /// runs, lane tiling included.  Nonzero coupling takes the scalar
-  /// crosstalk path: each victim lane's stream gains the configured
+  /// runs, lane tiling included.  Nonzero coupling runs each lane
+  /// as its own link: each victim lane's stream gains the configured
   /// FEXT/NEXT aggressor injections (MC) and bounded-interference ISI
   /// terms (stat), with seeds derived exactly as run_batch derives them,
   /// so toggling coupling never reshuffles lane noise.
@@ -150,8 +150,8 @@ class Simulator {
                                                       std::size_t lane);
 
   /// True when `spec` can execute on the lane-tiled path: lane_batch > 1
-  /// on an NRZ "mc" scenario with fixed EQ (the stat engine has no bit
-  /// stream to batch).
+  /// on an "mc" scenario (NRZ or PAM4) with fixed EQ (the stat engine has
+  /// no bit stream to batch).
   [[nodiscard]] static bool tile_eligible(const LinkSpec& spec);
   /// Lane-tiling group key: the spec JSON with the per-lane degrees of
   /// freedom (name, seed) neutralized.  Equal keys mean identical

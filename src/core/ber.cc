@@ -39,6 +39,38 @@ double ber_upper_bound(std::uint64_t bits, std::uint64_t errors,
   return std::min(1.0, mu_up / static_cast<double>(bits));
 }
 
+void score_payload(const LinkConfig& config,
+                   const std::vector<std::uint8_t>& payload,
+                   LinkResult& result) {
+  const auto& got = result.rx.payload;
+  const std::size_t n = std::min(payload.size(), got.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((payload[i] != 0) != (got[i] != 0)) ++result.bit_errors;
+  }
+  result.payload_bits_compared = n;
+  // Bits the receiver never produced (truncated tail) count as errors once
+  // they exceed the CDR pipeline allowance of a couple of UIs.  Unaligned
+  // runs are excluded: there the whole chunk is already charged as lost by
+  // the BER accounting in measure_ber.
+  if (result.aligned && payload.size() > got.size()) {
+    const std::uint64_t missing = payload.size() - got.size();
+    // The allowance is per recovered symbol: PAM4 loses 2 bits per UI the
+    // CDR pipeline still holds at end of stream.
+    const std::uint64_t allowance =
+        SerDesLink::kCdrTailAllowanceBits *
+        static_cast<std::uint64_t>(config.bits_per_ui());
+    if (missing > allowance) {
+      const std::uint64_t lost = missing - allowance;
+      result.bit_errors += lost;
+      result.payload_bits_compared += lost;
+    }
+  }
+  if (result.payload_bits_compared > 0) {
+    result.ber = static_cast<double>(result.bit_errors) /
+                 static_cast<double>(result.payload_bits_compared);
+  }
+}
+
 BerMeasurement measure_ber(
     SerDesLink& link, std::uint64_t total_bits, std::uint64_t chunk_bits,
     double confidence_level, util::PrbsOrder order,
@@ -67,7 +99,7 @@ BerMeasurement measure_ber(
     m.bits += r.payload_bits_compared;
     m.errors += r.bit_errors;
     // Bits the receiver truncated (pipeline tail) beyond the CDR allowance
-    // are already charged as errors inside LinkResult (SerDesLink::finalize);
+    // are already charged as errors inside LinkResult (score_payload);
     // only the small allowance itself is excluded from both counts.
   }
   if (m.bits > 0) {

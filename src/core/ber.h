@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/link.h"
 
@@ -35,6 +36,14 @@ BerMeasurement measure_ber(
     std::uint64_t chunk_bits = 4096, double confidence_level = 0.95,
     util::PrbsOrder order = util::PrbsOrder::kPrbs31,
     const std::function<void(const LinkResult&)>& on_chunk = {});
+
+/// Scores one run's recovered payload (result.rx.payload) against the
+/// `payload` sent: bit errors, bits compared and BER.  Bits the receiver
+/// never produced at the end of an aligned run count as errors beyond the
+/// CDR pipeline allowance (SerDesLink::kCdrTailAllowanceBits per symbol).
+void score_payload(const LinkConfig& config,
+                   const std::vector<std::uint8_t>& payload,
+                   LinkResult& result);
 
 /// Upper bound of true BER given an observation (Poisson/chi-square based;
 /// exact for zero errors, a good approximation otherwise).

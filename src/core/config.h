@@ -134,9 +134,10 @@ struct LinkConfig {
   std::size_t stream_block_samples = 16384;
   /// Lane-tile width for batched multi-lane execution (core::LaneLink):
   /// api::Simulator::run_batch groups compatible lanes into SoA tiles of
-  /// up to this many lanes sharing one instruction stream.  1 = scalar
-  /// per-lane execution.  Results are bit-identical either way; this is
-  /// purely a throughput knob, and only NRZ Monte Carlo runs tile.
+  /// up to this many lanes sharing one instruction stream.  1 = every
+  /// lane its own one-lane link.  Results are bit-identical either way;
+  /// this is purely a throughput knob, and only fixed-EQ Monte Carlo runs
+  /// tile.
   int lane_batch = 1;
   /// Opt into the dsp block-convolution engine for channels built from
   /// this config (ChannelFactory): long FIR and lossy-line responses take

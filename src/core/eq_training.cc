@@ -4,14 +4,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "channel/equalizer.h"
+#include "core/link.h"
 #include "core/receiver.h"
 #include "core/transmitter.h"
-#include "pipe/stages.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -27,73 +27,6 @@ constexpr int kPasses = 3;
 constexpr double kTapClampFraction = 0.45;
 constexpr double kMaxCtleBoostDb = 12.0;
 constexpr double kMaxFfeAlpha = 0.4;
-
-/// One training replay: streams `levels` through channel -> AWGN -> CTLE
-/// (-> RFI -> restore for NRZ) and returns the chain-output samples.  The
-/// NRZ tail needs the whole-stream DC mean first, so the front half runs
-/// twice — the same two-pass structure as SerDesLink::run_streaming, with
-/// fresh stages per pass so state never leaks between them.
-std::vector<double> run_training_chain(const LinkConfig& cfg,
-                                       channel::Channel& channel,
-                                       const Receiver& rx,
-                                       const std::vector<double>& levels,
-                                       util::Second stream_t0,
-                                       double boost_db,
-                                       std::uint64_t awgn_seed) {
-  const int spu = cfg.samples_per_ui;
-  const util::Second ui = cfg.unit_interval();
-  const Transmitter tx(cfg);
-  const util::Second rise = tx.driver().output_rise_time();
-  const double sigma = per_sample_noise_sigma(cfg);
-  const bool use_ctle = boost_db > 0.0;
-  const bool nrz = cfg.modulation == LinkConfig::Modulation::kNrz;
-  const std::size_t block = std::max<std::size_t>(1, cfg.stream_block_samples);
-
-  const auto make_front = [&](pipe::Pipeline& p) {
-    p.add(std::make_unique<pipe::ChannelStage>(channel.open_stream()));
-    p.add(std::make_unique<pipe::AwgnStage>(sigma, awgn_seed));
-    if (use_ctle) {
-      p.add(std::make_unique<pipe::CtleStage>(util::decibels(boost_db),
-                                              cfg.rx_ctle_pole,
-                                              cfg.sample_period()));
-    }
-  };
-
-  double mean = 0.0;
-  if (nrz) {
-    pipe::LevelPulseSource source(levels, ui, spu, rise, stream_t0, 0.0);
-    pipe::Pipeline front;
-    make_front(front);
-    double sum = 0.0;
-    pipe::Block blk;
-    while (source.produce(blk, block) > 0) {
-      const pipe::BlockView v = front.process(blk.view());
-      for (std::size_t i = 0; i < v.size; ++i) sum += v[i];
-    }
-    const std::uint64_t total = source.total_samples();
-    mean = total > 0 ? sum / static_cast<double>(total) : 0.0;
-  }
-
-  pipe::LevelPulseSource source(levels, ui, spu, rise, stream_t0, 0.0);
-  pipe::Pipeline pipeline;
-  make_front(pipeline);
-  if (nrz) {
-    auto rfi = std::make_unique<pipe::RfiFrontEndStage>(rx.rfi_stage(),
-                                                        cfg.sample_period());
-    rfi->set_mean(mean);
-    pipeline.add(std::move(rfi));
-    pipeline.add(std::make_unique<pipe::RestoringStage>(rx.restoring(),
-                                                        cfg.sample_period()));
-  }
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(source.total_samples()));
-  pipe::Block blk;
-  while (source.produce(blk, block) > 0) {
-    const pipe::BlockView v = pipeline.process(blk.view());
-    samples.insert(samples.end(), v.data, v.data + v.size);
-  }
-  return samples;
-}
 
 /// Best integer-sample alignment of symbol n against y[n*spu + L]: the lag
 /// in [0, 8*spu) maximizing the symbol/sample correlation.  The chain's
@@ -267,6 +200,10 @@ TrainingResult train_equalizer(const LinkConfig& config,
   // the sampling jitter at +1 and the sampler noise at +2), so margin
   // comparisons are paired, never noise-vs-noise.
   const std::uint64_t train_seed = config.noise_seed + 500;
+  // The replay runs the link's own datapath (core::replay_sampler_input)
+  // at the candidate CTLE boost, without crosstalk.
+  LinkConfig replay = config;
+  replay.xtalk.clear();
   const auto evaluate = [&](double alpha, double boost_db,
                             const std::vector<double>& warm) {
     std::vector<double> levels;
@@ -284,8 +221,9 @@ TrainingResult train_equalizer(const LinkConfig& config,
         levels[n] = bits[n] ? vdd : 0.0;
       }
     }
-    const std::vector<double> y = run_training_chain(
-        config, channel, rx, levels, stream_t0, boost_db, train_seed);
+    replay.rx_ctle_boost = util::decibels(boost_db);
+    const std::vector<double> y = replay_sampler_input(
+        replay, tx, rx, channel, std::move(levels), stream_t0, train_seed);
     // Reference the symbol deviation is measured against: the sampler
     // threshold in the restored NRZ domain; the stream mean in the PAM4
     // CTLE domain (the slicer calibration midpoint converges to it).

@@ -1,14 +1,10 @@
 #include "core/lane_link.h"
 
 #include <algorithm>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/link.h"
-#include "pipe/lane_stages.h"
-#include "pipe/stages.h"
 
 namespace serdes::core {
 
@@ -24,153 +20,6 @@ LaneLink::LaneLink(const LinkConfig& config,
   if (!channel_) throw std::invalid_argument("LaneLink: null channel");
   if (lane_seeds_.empty()) {
     throw std::invalid_argument("LaneLink: need at least one lane seed");
-  }
-}
-
-void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
-                         const std::vector<std::size_t>& lanes, bool capture,
-                         std::vector<LinkResult>& results) {
-  const std::size_t nl = lanes.size();
-  results.assign(nl, LinkResult{});
-  std::vector<std::uint64_t> awgn_seeds(nl);
-  std::vector<std::uint64_t> seeds(nl);
-  for (std::size_t i = 0; i < nl; ++i) {
-    seeds[i] = lane_seeds_[lanes[i]];
-    // The scalar link derives one AWGN seed per run from its run counter;
-    // each lane keeps its own counter so the sequence matches per lane.
-    awgn_seeds[i] = seeds[i] + 100 + chunks_run_[lanes[i]]++;
-  }
-  for (LinkResult& r : results) r.payload_bits_sent = payload.size();
-
-  // The shared TX launch source (lane-invariant, built once per tile).
-  pipe::LevelPulseSource source = SerDesLink::launch(config_, tx_, payload);
-  const std::uint64_t total = source.total_samples();
-  const std::size_t block =
-      std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = per_sample_noise_sigma(config_);
-  const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
-  const std::size_t capture_cap = config_.capture_max_samples > 0
-                                      ? config_.capture_max_samples
-                                      : static_cast<std::size_t>(-1);
-
-  // ---- Pass 1: per-lane DC mean and swing over the receiver input ----------
-  // The scalar path's first pass, lane-batched: the shared TX + channel
-  // front runs once, the AWGN fan-out and optional CTLE run per lane, and
-  // the mean accumulates per lane in sample order (the exact
-  // Waveform::mean_value() sum for that lane's stream).
-  std::vector<double> sum(nl, 0.0);
-  std::vector<double> min_v(nl, std::numeric_limits<double>::infinity());
-  std::vector<double> max_v(nl, -std::numeric_limits<double>::infinity());
-  {
-    pipe::ChannelStage chan(channel_->open_stream());
-    pipe::LaneAwgnStage awgn(sigma, awgn_seeds);
-    std::optional<pipe::LaneCtleStage> ctle;
-    if (use_ctle) {
-      ctle.emplace(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                   config_.sample_period(), nl);
-    }
-    pipe::Block blk;
-    pipe::Block chan_blk;
-    pipe::LaneBlock noisy;
-    pipe::LaneBlock eq;
-    while (source.produce(blk, block) > 0) {
-      chan.process(blk.view(), chan_blk);
-      awgn.process(chan_blk.view(), noisy);
-      const pipe::LaneView nv = noisy.view();
-      for (std::size_t i = 0; i < nv.size; ++i) {
-        const double* row = nv.data + i * nl;
-        for (std::size_t l = 0; l < nl; ++l) {
-          min_v[l] = std::min(min_v[l], row[l]);
-          max_v[l] = std::max(max_v[l], row[l]);
-        }
-      }
-      pipe::LaneView ev = nv;
-      if (ctle) {
-        ctle->process(nv, eq);
-        ev = eq.view();
-      }
-      for (std::size_t i = 0; i < ev.size; ++i) {
-        const double* row = ev.data + i * nl;
-        for (std::size_t l = 0; l < nl; ++l) sum[l] += row[l];
-      }
-    }
-  }
-  std::vector<double> mean(nl, 0.0);
-  for (std::size_t i = 0; i < nl; ++i) {
-    results[i].rx_swing_pp = total > 0 ? max_v[i] - min_v[i] : 0.0;
-    mean[i] = total > 0 ? sum[i] / static_cast<double>(total) : 0.0;
-  }
-
-  // ---- Pass 2: full datapath into the lane sampler/CDR sink ----------------
-  source.reset();
-  pipe::ChannelStage chan(channel_->open_stream());
-  pipe::LaneAwgnStage awgn(sigma, awgn_seeds);
-  std::optional<pipe::LaneCtleStage> ctle;
-  if (use_ctle) {
-    ctle.emplace(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                 config_.sample_period(), nl);
-  }
-  pipe::LaneRfiStage rfi(rx_.rfi_stage(), config_.sample_period(), nl);
-  for (std::size_t i = 0; i < nl; ++i) rfi.set_mean(i, mean[i]);
-  pipe::LaneRestoreStage restore(rx_.restoring(), config_.sample_period(), nl);
-  // Scalar capture points: tx pre-channel (lane-invariant, shared buffer),
-  // channel post-AWGN (per lane), restored (per lane).
-  std::optional<pipe::LaneWaveformTap> tap_channel;
-  std::optional<pipe::LaneWaveformTap> tap_restored;
-  if (capture) {
-    tap_channel.emplace(nl, capture_cap);
-    tap_restored.emplace(nl, capture_cap);
-  }
-
-  pipe::SamplerCdrSink sink = SerDesLink::make_sink(
-      config_, {rx_.decision_threshold()}, seeds, source);
-
-  std::vector<double> tx_capture;
-  pipe::Block blk;
-  pipe::Block chan_blk;
-  pipe::LaneBlock noisy;
-  pipe::LaneBlock eq;
-  pipe::LaneBlock rfi_out;
-  pipe::LaneBlock restored;
-  while (source.produce(blk, block) > 0) {
-    const pipe::BlockView tx_view = blk.view();
-    if (capture && tx_capture.size() < capture_cap) {
-      const std::size_t take =
-          std::min(capture_cap - tx_capture.size(), tx_view.size);
-      tx_capture.insert(tx_capture.end(), tx_view.data, tx_view.data + take);
-    }
-    chan.process(tx_view, chan_blk);
-    awgn.process(chan_blk.view(), noisy);
-    pipe::LaneView v = noisy.view();
-    if (capture) tap_channel->record(v);
-    if (ctle) {
-      ctle->process(v, eq);
-      v = eq.view();
-    }
-    rfi.process(v, rfi_out);
-    restore.process(rfi_out.view(), restored);
-    const pipe::LaneView rv = restored.view();
-    if (capture) tap_restored->record(rv);
-    sink.consume(rv);
-  }
-  sink.finish();
-
-  LinkConfig finalize_cfg = config_;
-  finalize_cfg.capture_waveforms = capture;
-  for (std::size_t i = 0; i < nl; ++i) {
-    LinkResult& result = results[i];
-    ReceiveResult rx = SerDesLink::receive(config_, sink, i);
-    if (capture) {
-      result.tx_out =
-          analog::Waveform{source.stream_t0(), source.dt(), tx_capture};
-      result.channel_out = tap_channel->take(i);
-      rx.restored = tap_restored->take(i);
-      // The RFI probe tap is not materialized on the lane path (nothing
-      // downstream reads it); rx.rfi_out stays empty.
-    }
-    result.rx = std::move(rx);
-    result.aligned = result.rx.aligned;
-    SerDesLink::finalize_result(finalize_cfg, payload, result);
   }
 }
 
@@ -225,11 +74,18 @@ std::vector<LaneOutcome> LaneLink::measure(std::uint64_t total_bits,
       }
       // drawn == 0 <=> the lane's first chunk, which carries diagnostics
       // (and waveform capture when the config asks for it), exactly like
-      // the scalar path's first-chunk observer.
+      // a single link's first-chunk observer.  Each lane keeps its own
+      // run counter, so its AWGN seed sequence is a single link's.
       const bool first_chunk = group.drawn == 0;
-      const bool capture = config_.capture_waveforms && first_chunk;
-      std::vector<LinkResult> results;
-      run_chunk(payload, group.lanes, capture, results);
+      std::vector<std::uint64_t> seeds;
+      std::vector<std::uint64_t> awgn_seeds;
+      for (const std::size_t lane : group.lanes) {
+        seeds.push_back(lane_seeds_[lane]);
+        awgn_seeds.push_back(lane_seeds_[lane] + 100 + chunks_run_[lane]++);
+      }
+      std::vector<LinkResult> results = run_link_tile(
+          config_, tx_, rx_, *channel_, payload, seeds, awgn_seeds,
+          config_.capture_waveforms && first_chunk);
       for (std::size_t i = 0; i < group.lanes.size(); ++i) {
         const std::size_t lane = group.lanes[i];
         LinkResult& r = results[i];
@@ -238,8 +94,10 @@ std::vector<LaneOutcome> LaneLink::measure(std::uint64_t total_bits,
           o.cdr_decision_phase = r.rx.cdr_decision_phase;
           o.cdr_phase_updates = r.rx.cdr_phase_updates;
           o.rx_swing_pp = r.rx_swing_pp;
+          o.decision_threshold = r.decision_threshold;
           o.tx_out = std::move(r.tx_out);
           o.channel_out = std::move(r.channel_out);
+          o.rfi_out = std::move(r.rx.rfi_out);
           o.restored = std::move(r.rx.restored);
         }
         BerMeasurement& m = out[lane].measurement;

@@ -1,5 +1,13 @@
 // End-to-end SerDes link: transmitter -> channel -> receiver, plus BER
 // accounting.  The top-level object every example and benchmark drives.
+//
+// Every receive run goes through one datapath, written once in link.cc
+// (run_link_tile): the TX launch source feeds a lane-invariant head
+// (channel, then crosstalk), which fans out at the receiver-input AWGN
+// into a lane tile — CTLE, then under NRZ the RFI front end and the
+// restoring inverter — ending in the one sampler/CDR sink.  A SerDesLink
+// is the one-lane tile; core::LaneLink runs L lanes per tile; the EQ
+// trainer replays the same stages (replay_sampler_input).
 #pragma once
 
 #include <cstdint>
@@ -11,11 +19,7 @@
 #include "core/receiver.h"
 #include "core/transmitter.h"
 #include "util/prbs.h"
-
-namespace serdes::pipe {
-class LevelPulseSource;
-class SamplerCdrSink;
-}  // namespace serdes::pipe
+#include "util/units.h"
 
 namespace serdes::core {
 
@@ -52,10 +56,9 @@ class SerDesLink {
   /// The link takes ownership of the channel model.
   SerDesLink(const LinkConfig& config, std::unique_ptr<channel::Channel> ch);
 
-  /// Transmits `payload` and compares what the receiver recovered.  The
-  /// datapath streams in blocks of LinkConfig::stream_block_samples (O(block)
-  /// waveform memory); NRZ and PAM4 share it, down to one sampler/CDR sink
-  /// whose slicer thresholds carry the modulation.
+  /// Transmits `payload` and compares what the receiver recovered: the
+  /// one-lane run_link_tile, streamed in blocks of
+  /// LinkConfig::stream_block_samples (O(block) waveform memory).
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// Convenience: PRBS payload of `nbits` using the config's pattern order.
@@ -74,46 +77,36 @@ class SerDesLink {
     config_.capture_waveforms = capture;
   }
 
-  /// Shared head of every run (NRZ, PAM4 and the lane-batched LaneLink):
-  /// the TX launch source for `payload`'s wire bits — per-symbol launch
-  /// levels (NRZ, TX FFE or gray-mapped PAM4) and the stream time base.
-  [[nodiscard]] static pipe::LevelPulseSource launch(
-      const LinkConfig& config, const Transmitter& tx,
-      const std::vector<std::uint8_t>& payload);
-
-  /// The sampler/CDR sink every run ends in: one lane per entry of
-  /// `lane_seeds` (each lane's jitter/slicers seeded from it as a scalar
-  /// link's noise_seed), slicing at `thresholds`, over `source`'s stream.
-  [[nodiscard]] static pipe::SamplerCdrSink make_sink(
-      const LinkConfig& config, std::vector<double> thresholds,
-      const std::vector<std::uint64_t>& lane_seeds,
-      const pipe::LevelPulseSource& source);
-
-  /// What lane `lane` of a drained sink recovered: bits, deframed
-  /// payload, frames and CDR / metastability diagnostics.
-  [[nodiscard]] static ReceiveResult receive(const LinkConfig& config,
-                                             const pipe::SamplerCdrSink& sink,
-                                             std::size_t lane);
-
-  /// Shared tail of every run (NRZ, PAM4 and the lane-batched LaneLink):
-  /// payload comparison, truncated-tail error accounting, BER, and
-  /// waveform dropping per `config`'s capture setting.
-  static void finalize_result(const LinkConfig& config,
-                              const std::vector<std::uint8_t>& payload,
-                              LinkResult& result);
-
  private:
-  [[nodiscard]] LinkResult run_streaming(
-      const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
-  void finalize(const std::vector<std::uint8_t>& payload, LinkResult& result) {
-    finalize_result(config_, payload, result);
-  }
-
   LinkConfig config_;
   Transmitter tx_;
   Receiver rx_;
   std::unique_ptr<channel::Channel> channel_;
   std::uint64_t run_counter_ = 0;
 };
+
+/// One receive run of `payload` over a tile of lanes.  Lane l runs as a
+/// link whose noise_seed is lane_seeds[l] (its jitter and slicer seeds),
+/// on receiver-input AWGN seed awgn_seeds[l]; the lanes share the launch,
+/// the channel and the crosstalk, and keep their own AWGN, filter state,
+/// sampler/CDR and result.  Two passes: the first measures each lane's
+/// swing and the sampler-path statistic (NRZ: the stream mean the RFI
+/// front end subtracts; PAM4: the slicer thresholds), the second streams
+/// the full datapath into the sink.  With `capture`, every result carries
+/// the diagnostic waveforms, capped at config.capture_max_samples.
+[[nodiscard]] std::vector<LinkResult> run_link_tile(
+    const LinkConfig& config, const Transmitter& tx, const Receiver& rx,
+    channel::Channel& channel, const std::vector<std::uint8_t>& payload,
+    const std::vector<std::uint64_t>& lane_seeds,
+    const std::vector<std::uint64_t>& awgn_seeds, bool capture);
+
+/// The same datapath over launch `levels` starting at `stream_t0`, one
+/// lane on AWGN seed `awgn_seed`, without a sampler/CDR sink: returns the
+/// whole sampler input (restored under NRZ, equalized under PAM4).  The
+/// EQ trainer's replay; config.xtalk applies as in run_link_tile.
+[[nodiscard]] std::vector<double> replay_sampler_input(
+    const LinkConfig& config, const Transmitter& tx, const Receiver& rx,
+    channel::Channel& channel, std::vector<double> levels,
+    util::Second stream_t0, std::uint64_t awgn_seed);
 
 }  // namespace serdes::core

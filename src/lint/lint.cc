@@ -260,10 +260,10 @@ void check_ineffective_field(const api::LinkSpec& spec,
   }
   if (spec.lane_batch > 1 && !api::Simulator::tile_eligible(spec)) {
     emit(out, info, prefix + ".lane_batch",
-         "lane_batch is set but lane tiling needs NRZ Monte Carlo execution "
-         "with fixed EQ (analysis \"mc\", modulation \"nrz\", eq "
-         "\"fixed\"), so every lane runs the scalar path anyway",
-         "use fixed-EQ NRZ with analysis \"mc\", or drop lane_batch");
+         "lane_batch is set but lane tiling needs Monte Carlo execution "
+         "with fixed EQ (analysis \"mc\", eq \"fixed\"), so every lane "
+         "runs as its own link anyway",
+         "use fixed EQ with analysis \"mc\", or drop lane_batch");
   }
 }
 

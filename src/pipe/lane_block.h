@@ -1,20 +1,20 @@
-// Lane-major SoA sample tiles for the multi-lane streaming datapath.
+// Lane-major SoA sample tiles for the streaming datapath.
 //
 // A LaneBlock carries one block of samples for L independent lanes in an
 // interleaved structure-of-arrays layout: sample index i of lane l lives at
 // data[i * lanes + l], so the values every lane needs at one stream
-// position are contiguous.  Lane-batched stage kernels walk the sample
-// axis exactly like their scalar counterparts and run the per-lane
-// arithmetic in the inner lane loop — one instruction stream, L lanes —
-// which auto-vectorizes across lanes while preserving each lane's
-// operation order bit-for-bit (no cross-lane arithmetic ever mixes
-// values, so lane l of a tile reproduces the scalar pipeline for lane l
-// exactly).
+// position are contiguous.  Lane stage kernels walk the sample axis and
+// run the per-lane arithmetic in the inner lane loop — one instruction
+// stream, L lanes — which auto-vectorizes across lanes while preserving
+// each lane's operation order bit-for-bit (no cross-lane arithmetic ever
+// mixes values, so lane l of a tile reproduces the one-lane tile for lane
+// l exactly).  A single link runs as the one-lane tile.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "pipe/block.h"
 #include "util/units.h"
 
 namespace serdes::pipe {
@@ -39,6 +39,12 @@ struct LaneView {
     return data[i * lanes + l];
   }
 };
+
+/// A scalar block seen as the one-lane tile (same samples, same layout).
+[[nodiscard]] inline LaneView as_tile(const BlockView& in) {
+  return LaneView{in.data, in.size, 1, in.start_index, in.stream_t0, in.dt,
+                  in.last};
+}
 
 /// Owning lane-major tile buffer a lane stage writes its output into.
 class LaneBlock {

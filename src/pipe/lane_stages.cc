@@ -26,9 +26,8 @@ void LaneAwgnStage::process(const BlockView& in, LaneBlock& out) {
   const double sigma = sigma_;
   if (sigma > 0.0) {
     // Lane by lane: each lane's stream draws one gaussian per sample in
-    // sample order, exactly like the scalar AwgnStage, with its state in
-    // registers for the whole block; the lane's column of the tile is a
-    // stride-`lanes` walk.
+    // sample order, with its state in registers for the whole block; the
+    // lane's column of the tile is a stride-`lanes` walk.
     for (std::size_t l = 0; l < lanes; ++l) {
       rngs_[l].add_gaussian(in.data, samples + l, in.size, sigma, 1, lanes);
     }
@@ -58,7 +57,7 @@ void LaneCtleStage::process(const LaneView& in, LaneBlock& out) {
   lpf_.process_lanes(in.data, scratch_.data(), in.size, in.lanes, x1_.data(),
                      y1_.data());
   // The peaking combine is element-wise, so one flat pass over the tile
-  // keeps every lane's operation order identical to the scalar stage.
+  // keeps every lane's operation order that of a one-lane tile.
   const double k = k_;
   const double* low = scratch_.data();
   for (std::size_t i = 0; i < values; ++i) {
@@ -88,8 +87,8 @@ void LaneRfiStage::process(const LaneView& in, LaneBlock& out) {
   }
   lpf_.process_lanes(samples, samples, in.size, in.lanes, x1_.data(),
                      y1_.data());
-  // Element-wise saturating VTC: flat pass, loads hoisted like the scalar
-  // stage.
+  // RfiStage::saturate as a flat element-wise pass with the loop-invariant
+  // loads hoisted; the formula itself has one home (saturate_value).
   const double bias = rfi_->bias();
   const double gain = rfi_->gain();
   const double half = rfi_->vdd() / 2.0;
@@ -130,7 +129,9 @@ void LaneWaveformTap::record(const LaneView& in) {
     std::vector<double>& lane = captured_[l];
     if (lane.size() >= max_samples_) continue;
     const std::size_t take = std::min(max_samples_ - lane.size(), in.size);
-    for (std::size_t i = 0; i < take; ++i) lane.push_back(in.at(i, l));
+    const std::size_t at = lane.size();
+    lane.resize(at + take);
+    for (std::size_t i = 0; i < take; ++i) lane[at + i] = in.at(i, l);
   }
 }
 

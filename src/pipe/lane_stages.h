@@ -1,13 +1,12 @@
-// Lane-batched (SoA) streaming stages for the multi-lane datapath.
+// The per-lane stages of the streaming datapath, on lane-major SoA tiles
+// (pipe/lane_block.h).  They are the only receiver-front-end stages: a
+// single link is the one-lane tile, a lane batch the L-lane tile.
 //
-// Each stage here is the L-lane counterpart of a scalar stage in
-// pipe/stages.h, operating on lane-major tiles (pipe/lane_block.h): the
-// sample loop is the outer loop exactly as in the scalar stage, and the
-// per-lane arithmetic runs in an inner lane loop with per-lane state held
-// in arrays — one instruction stream, L lanes.  No cross-lane arithmetic
-// ever mixes values and each lane draws from its own RNG stream in the
-// scalar order, so lane l of a tile is bit-identical to the scalar
-// pipeline run over lane l alone.
+// The sample loop is the outer loop and the per-lane arithmetic runs in an
+// inner lane loop with per-lane state held in arrays — one instruction
+// stream, L lanes.  No cross-lane arithmetic ever mixes values and each
+// lane draws from its own RNG stream in sample order, so lane l of a tile
+// is bit-identical to the one-lane tile run over lane l alone.
 //
 //   LaneAwgnStage      — fans a shared (lane-invariant) channel block out
 //                        into a tile, adding per-lane AWGN streams
@@ -16,12 +15,12 @@
 //   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
 //   LaneWaveformTap    — per-lane diagnostic-window capture
 //
-// The tile ends in the same pipe::SamplerCdrSink as the scalar datapath
-// (pipe/stages.h), which keeps per-lane jitter/slicer/CDR state over one
-// shared interleaved rolling window.
+// The tile ends in pipe::SamplerCdrSink (pipe/stages.h), which keeps
+// per-lane jitter/slicer/CDR state over one shared interleaved rolling
+// window; core::run_link_tile chains head, tile stages and sink.
 //
 // The gaussian draw (ziggurat with a variable-draw edge path) and the
-// sampler decision (data-dependent metastability redraws) stay scalar per
+// sampler decision (data-dependent metastability redraws) stay serial per
 // lane by design: batching them across lanes would change each lane's
 // draw order and break bit-identity.  The filter recurrences and MACs —
 // where the cycles actually go — vectorize across the lane axis.
@@ -44,7 +43,7 @@ namespace serdes::pipe {
 /// Fan-out stage: replicates a shared scalar block (the lane-invariant
 /// TX + channel output) across L lanes, adding each lane's own AWGN
 /// stream — per lane, blockwise Waveform::add_noise with a carried RNG
-/// that advances one gaussian per sample exactly like AwgnStage.
+/// that advances one gaussian per sample.
 class LaneAwgnStage {
  public:
   LaneAwgnStage(double sigma, const std::vector<std::uint64_t>& seeds);
@@ -75,7 +74,8 @@ class LaneCtleStage {
 
 /// RFI front end across a tile: per-lane DC removal (each lane's stream
 /// mean, supplied via set_mean once measured), per-lane output pole, then
-/// the shared saturating VTC — blockwise RfiFrontEndStage per lane.
+/// the shared saturating VTC — blockwise analog::RfiStage::process per
+/// lane, given that lane's stream DC mean.
 class LaneRfiStage {
  public:
   LaneRfiStage(const analog::RfiStage& rfi, util::Second dt,
@@ -110,10 +110,10 @@ class LaneRestoreStage {
   std::vector<double> y1_;
 };
 
-/// Per-lane diagnostic-window capture: retains up to `max_samples` of each
-/// lane's stream flowing past (the per-lane analogue of WaveformTapStage,
-/// as a passive recorder — call record() before the sink consumes the
-/// tile).
+/// Per-lane diagnostic-window capture: a passive recorder retaining up to
+/// `max_samples` of each lane's stream flowing past.  The link only
+/// records while diagnostics capture is on (the first chunk of a BER
+/// run), so bulk streaming never accumulates waveform memory.
 class LaneWaveformTap {
  public:
   LaneWaveformTap(std::size_t lanes, std::size_t max_samples);

@@ -91,84 +91,34 @@ std::size_t LevelPulseSource::produce(Block& out, std::size_t max_samples) {
   return n;
 }
 
-// ---- AwgnStage --------------------------------------------------------------
+// ---- XtalkInjectStage -------------------------------------------------------
 
-void AwgnStage::process(const BlockView& in, Block& out) {
+XtalkInjectStage::XtalkInjectStage(std::vector<Path> paths,
+                                   util::Second unit_interval,
+                                   int samples_per_ui, util::Second rise_time,
+                                   util::Second stream_t0) {
+  aggressors_.reserve(paths.size());
+  for (Path& p : paths) {
+    aggressors_.push_back(Aggressor{
+        LevelPulseSource(std::move(p.levels), unit_interval, samples_per_ui,
+                         rise_time, stream_t0),
+        p.gain, std::move(p.channel_stream)});
+  }
+}
+
+void XtalkInjectStage::process(const BlockView& in, Block& out) {
   out.match(in);
   double* samples = out.data();
-  const double sigma = sigma_;
-  if (sigma > 0.0) {
-    rng_.add_gaussian(in.data, samples, in.size, sigma);
-  } else {
-    std::copy(in.data, in.data + in.size, samples);
+  std::copy(in.data, in.data + in.size, samples);
+  for (Aggressor& a : aggressors_) {
+    // The aggressor level vector spans at least the victim stream (delay
+    // zeros prepended), so produce() always yields a full block here.
+    const std::size_t n = a.source.produce(scratch_, in.size);
+    double* contrib = scratch_.data();
+    if (a.channel_stream) a.channel_stream->transmit_block(contrib, contrib, n);
+    const double gain = a.gain;
+    for (std::size_t i = 0; i < n; ++i) samples[i] += gain * contrib[i];
   }
-}
-
-// ---- CtleStage --------------------------------------------------------------
-
-void CtleStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  // Same arithmetic as the per-sample loop, as two span passes: the pole
-  // runs with its state in registers, then the peaking combine vectorizes.
-  // The low-passed signal goes through scratch (not `out`) so the stage
-  // stays safe when `out` aliases `in`, like every other stage.
-  scratch_.resize(in.size);
-  lpf_.process_block(in.data, scratch_.data(), in.size);
-  const double k = k_;
-  const double* low = scratch_.data();
-  for (std::size_t i = 0; i < in.size; ++i) {
-    const double x = in.data[i];
-    samples[i] = x + k * (x - low[i]);
-  }
-}
-
-// ---- RfiFrontEndStage -------------------------------------------------------
-
-void RfiFrontEndStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  const double delta = delta_;
-  for (std::size_t i = 0; i < in.size; ++i) samples[i] = in.data[i] + delta;
-  lpf_.process_block(samples, samples, in.size);
-  // RfiStage::saturate with the loop-invariant loads hoisted; the formula
-  // itself has one home (saturate_value).  tanh dominates what remains.
-  const double bias = rfi_->bias();
-  const double gain = rfi_->gain();
-  const double half = rfi_->vdd() / 2.0;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = analog::RfiStage::saturate_value(samples[i], bias, gain,
-                                                  half);
-  }
-}
-
-// ---- RestoringStage ---------------------------------------------------------
-
-void RestoringStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  inv_->restore_block(in.data, samples, in.size);
-  pole_.process_block(samples, samples, in.size);
-}
-
-// ---- WaveformTapStage -------------------------------------------------------
-
-void WaveformTapStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  std::copy(in.data, in.data + in.size, out.data());
-  if (captured_.empty()) {
-    t0_ = in.stream_t0;
-    dt_ = in.dt;
-  }
-  if (captured_.size() < max_samples_) {
-    const std::size_t room = max_samples_ - captured_.size();
-    const std::size_t take = std::min(room, in.size);
-    captured_.insert(captured_.end(), in.data, in.data + take);
-  }
-}
-
-analog::Waveform WaveformTapStage::take() {
-  return analog::Waveform{t0_, dt_, std::move(captured_)};
 }
 
 // ---- SamplerCdrSink ---------------------------------------------------------
@@ -287,36 +237,46 @@ void SamplerCdrSink::finish() {
   for (std::size_t l = 0; l < lanes; ++l) drain(l);
 }
 
-bool SamplerCdrSink::fetch(std::size_t lane, util::Second t,
-                           double* v) const {
-  // Fused availability test + Waveform::value_at over the logical stream:
-  // one (t - t0)/dt per time point instead of one for the test and one for
-  // the read.  The arithmetic (and therefore every interpolated value) is
-  // identical to the unfused pair.
-  const double idx = (t - t0_) / dt_;
-  if (idx <= 0.0) {
-    if (!has_first_) return false;
-    *v = lanes_[lane].first_sample;
-    return true;
-  }
-  const auto lo = static_cast<std::uint64_t>(idx);
-  if (lo + 1 >= total_) {
-    if (!has_last_) return false;
-    *v = lanes_[lane].last_sample;
-    return true;
-  }
-  if (lo + 1 >= appended_) return false;
-  const double frac = idx - static_cast<double>(lo);
-  const double a = ring_[(lo & mask_) * nlanes_ + lane];
-  const double b = ring_[((lo + 1) & mask_) * nlanes_ + lane];
-  *v = a + frac * (b - a);
-  return true;
-}
-
 void SamplerCdrSink::drain(std::size_t l) {
   Lane& lane = lanes_[l];
-  analog::DffSampler* slicers = slicers_.data() + l * nslicers_;
+  const std::size_t nslicers = nslicers_;
+  const int phases = clocks_.phases();
+  analog::DffSampler* slicers = slicers_.data() + l * nslicers;
   const bool dfe_on = !dfe_taps_.empty();
+  // Fused availability test + Waveform::value_at over the logical stream:
+  // one (t - t0)/dt per time point instead of one for the test and one for
+  // the read, with every per-lane and per-ring load hoisted out of the
+  // instant loop (nothing below changes them).  The arithmetic, and so
+  // every interpolated value, is identical to the unfused pair.
+  const double* column = ring_.data() + l;
+  const std::size_t stride = nlanes_;
+  const std::size_t mask = mask_;
+  const double first = lane.first_sample;
+  const double last = lane.last_sample;
+  const bool has_first = has_first_;
+  const bool has_last = has_last_;
+  const std::uint64_t total = total_;
+  const std::uint64_t appended = appended_;
+  const util::Second t0 = t0_;
+  const util::Second dt = dt_;
+  const auto fetch = [&](util::Second t, double* v) {
+    const double idx = (t - t0) / dt;
+    if (idx <= 0.0) {
+      *v = first;
+      return has_first;
+    }
+    const auto lo = static_cast<std::uint64_t>(idx);
+    if (lo + 1 >= total) {
+      *v = last;
+      return has_last;
+    }
+    if (lo + 1 >= appended) return false;
+    const double frac = idx - static_cast<double>(lo);
+    const double a = column[(lo & mask) * stride];
+    const double b = column[((lo + 1) & mask) * stride];
+    *v = a + frac * (b - a);
+    return true;
+  };
   while (!lane.done) {
     if (!lane.pending) {
       if (lane.phase == 0) {
@@ -346,8 +306,8 @@ void SamplerCdrSink::drain(std::size_t l) {
     double v;
     double v_before;
     double v_after;
-    if (!fetch(l, t, &v) || !fetch(l, t - ap_half_, &v_before) ||
-        !fetch(l, t + ap_half_, &v_after)) {
+    if (!fetch(t, &v) || !fetch(t - ap_half_, &v_before) ||
+        !fetch(t + ap_half_, &v_after)) {
       break;  // wait for more samples (or the end of the stream)
     }
     if (dfe_on) {
@@ -358,15 +318,15 @@ void SamplerCdrSink::drain(std::size_t l) {
       v_before -= lane.dfe_corr;
       v_after -= lane.dfe_corr;
       if (!lane.dfe_fb_decided && lane.phase >= lane.dfe_fb_phase) {
-        std::size_t level = nslicers_;  // thresholds cleared, top down
+        std::size_t level = nslicers;  // thresholds cleared, top down
         while (level > 0 && !(v > thresholds_[level - 1])) --level;
         lane.dfe_fb_w = static_cast<double>(2 * static_cast<int>(level) -
-                                            static_cast<int>(nslicers_)) /
-                        static_cast<double>(nslicers_);
+                                            static_cast<int>(nslicers)) /
+                        static_cast<double>(nslicers);
         lane.dfe_fb_decided = true;
       }
     }
-    if (nslicers_ == 1) {
+    if (nslicers == 1) {
       lane.cdr.push(slicers[0].decide(v, v_before, v_after));
     } else {
       const bool msb = slicers[0].decide(v, v_before, v_after);
@@ -375,7 +335,7 @@ void SamplerCdrSink::drain(std::size_t l) {
       lane.cdr.push2(msb, above_low && !above_high);
     }
     lane.pending.reset();
-    if (++lane.phase == clocks_.phases()) {
+    if (++lane.phase == phases) {
       lane.phase = 0;
       ++lane.ui;
       if (dfe_on) {

@@ -1,24 +1,23 @@
-// Concrete streaming stages for the TX -> channel -> noise -> EQ -> RX
-// datapath.
+// The scalar ends of the streaming TX -> channel -> noise -> EQ -> RX
+// datapath: the lane-invariant head every lane shares, and the
+// sampler/CDR sink every lane ends in.  The per-lane middle (AWGN fan-out,
+// CTLE, RFI, restoring inverter, capture taps) is pipe/lane_stages.h; the
+// one two-pass run that chains them all is core::run_link_tile.
 //
-// Each stage reproduces the arithmetic of its whole-waveform counterpart
+// Each piece reproduces the arithmetic of its whole-waveform counterpart
 // exactly, sample by sample, while carrying state (filter memories, RNG
 // streams, rolling sample windows) across blocks — so a stream processed
 // at any block size is bit-identical to the whole-waveform models (the
 // tests' reference run).
 //
-//   LevelPulseSource   — NRZ / TX-FFE pulse shaper (Waveform::nrz and
-//                        TxFfe::shape, blockwise)
-//   ChannelStage       — wraps a channel::Channel::Stream
-//   AwgnStage          — Waveform::add_noise with a carried RNG
-//   CtleStage          — channel::RxCtle::equalize with a carried pole
-//   RfiFrontEndStage   — analog::RfiStage::process given the stream DC mean
-//   RestoringStage     — analog::RestoringInverter::process, blockwise
-//   WaveformTapStage   — pass-through probe retaining the diagnostic window
+//   LevelPulseSource   — NRZ / TX-FFE / PAM4 pulse shaper (Waveform::nrz
+//                        and TxFfe::shape, blockwise)
+//   XtalkInjectStage   — FEXT/NEXT aggressor injection into the shared
+//                        post-channel stream
 //   SamplerCdrSink     — the one sampler/CDR sink: per-lane jittered
 //                        multiphase sampling, NRZ or PAM4 slicers, DFE
 //                        feedback and oversampling CDR over one rolling
-//                        interleaved window (scalar = one lane)
+//                        interleaved window (a single link = one lane)
 #pragma once
 
 #include <cstdint>
@@ -26,16 +25,13 @@
 #include <optional>
 #include <vector>
 
-#include "analog/filters.h"
-#include "analog/rfi.h"
 #include "analog/sampler.h"
-#include "analog/waveform.h"
 #include "channel/channel.h"
 #include "channel/noise.h"
 #include "digital/cdr.h"
 #include "digital/sampling.h"
+#include "pipe/block.h"
 #include "pipe/lane_block.h"
-#include "pipe/stage.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -77,115 +73,39 @@ class LevelPulseSource {
   std::vector<double> scratch_q_;
 };
 
-/// Streams blocks through a channel model (carrying its filter state).
-class ChannelStage final : public Stage {
+/// Crosstalk injection into the shared (lane-invariant) victim stream:
+/// gain-scaled, UI-delayed copies of aggressor TX streams, each optionally
+/// filtered through a private stream of the victim's channel (FEXT), added
+/// to every passing block.  All lanes of a bus carry the same framed PRBS
+/// stream, so an aggressor's launch levels are the victim's, shifted.
+class XtalkInjectStage {
  public:
-  explicit ChannelStage(std::unique_ptr<channel::Channel::Stream> stream)
-      : stream_(std::move(stream)) {}
+  struct Path {
+    /// Aggressor launch levels with the delay prepended (`delay_ui` idle
+    /// levels); must span at least as many UIs as the victim stream.
+    std::vector<double> levels;
+    double gain = 0.0;
+    /// FEXT: filter the aggressor stream through this (victim-channel)
+    /// stream before injection.  nullptr = NEXT (direct injection).
+    std::unique_ptr<channel::Channel::Stream> channel_stream;
+  };
 
-  void process(const BlockView& in, Block& out) override {
-    out.match(in);
-    stream_->transmit_block(in.data, out.data(), in.size);
-  }
-  void reset() override { stream_->reset(); }
-  [[nodiscard]] std::string_view name() const override { return "channel"; }
+  /// Geometry must match the victim's TX source so aggressor samples line
+  /// up positionally with victim samples.
+  XtalkInjectStage(std::vector<Path> paths, util::Second unit_interval,
+                   int samples_per_ui, util::Second rise_time,
+                   util::Second stream_t0);
+
+  void process(const BlockView& in, Block& out);
 
  private:
-  std::unique_ptr<channel::Channel::Stream> stream_;
-};
-
-/// Additive white gaussian noise with a carried deterministic RNG —
-/// blockwise Waveform::add_noise.
-class AwgnStage final : public Stage {
- public:
-  AwgnStage(double sigma, std::uint64_t seed)
-      : sigma_(sigma), seed_(seed), rng_(seed) {}
-
-  void process(const BlockView& in, Block& out) override;
-  void reset() override { rng_ = util::Rng(seed_); }
-  [[nodiscard]] std::string_view name() const override { return "awgn"; }
-
- private:
-  double sigma_;
-  std::uint64_t seed_;
-  util::Rng rng_;
-};
-
-/// CTLE peaking stage: out = x + k*(x - LPF(x)), pole state carried.
-class CtleStage final : public Stage {
- public:
-  CtleStage(util::Decibel boost, util::Hertz pole, util::Second dt)
-      : k_(util::db_to_amplitude(boost) - 1.0), lpf_(pole, dt) {}
-
-  void process(const BlockView& in, Block& out) override;
-  void reset() override { lpf_.reset(); }
-  [[nodiscard]] std::string_view name() const override { return "ctle"; }
-
- private:
-  double k_;
-  analog::OnePoleLowPass lpf_;
-  std::vector<double> scratch_;  // low-passed block (keeps in/out aliasable)
-};
-
-/// RFI front end: DC removal (the stream mean, supplied via set_mean once
-/// known), output pole, saturating VTC — blockwise analog::RfiStage.
-class RfiFrontEndStage final : public Stage {
- public:
-  RfiFrontEndStage(const analog::RfiStage& rfi, util::Second dt)
-      : rfi_(&rfi), lpf_(rfi.bandwidth(), dt) {}
-
-  /// The full-stream DC mean the whole-waveform RFI model subtracts; must
-  /// be set before the first block (SerDesLink measures it in a first
-  /// streaming pass over the cheap front half of the datapath).
-  void set_mean(double mean) { delta_ = -mean; }
-
-  void process(const BlockView& in, Block& out) override;
-  void reset() override { lpf_.reset(); }
-  [[nodiscard]] std::string_view name() const override { return "rfi"; }
-
- private:
-  const analog::RfiStage* rfi_;
-  analog::OnePoleLowPass lpf_;
-  double delta_ = 0.0;
-};
-
-/// Rail-restoring inverter: VTC lookup then output pole, state carried.
-class RestoringStage final : public Stage {
- public:
-  RestoringStage(const analog::RestoringInverter& inv, util::Second dt)
-      : inv_(&inv), pole_(inv.bandwidth(), dt) {}
-
-  void process(const BlockView& in, Block& out) override;
-  void reset() override { pole_.reset(); }
-  [[nodiscard]] std::string_view name() const override { return "restore"; }
-
- private:
-  const analog::RestoringInverter* inv_;
-  analog::OnePoleLowPass pole_;
-};
-
-/// Pass-through probe that retains up to `max_samples` of whatever flows
-/// past it — the optional waveform-capture tap.  The link only inserts
-/// taps while diagnostics capture is on (the first chunk of a BER run), so
-/// bulk streaming never accumulates waveform memory.
-class WaveformTapStage final : public Stage {
- public:
-  explicit WaveformTapStage(
-      std::size_t max_samples = static_cast<std::size_t>(-1))
-      : max_samples_(max_samples) {}
-
-  void process(const BlockView& in, Block& out) override;
-  void reset() override { captured_.clear(); }
-  [[nodiscard]] std::string_view name() const override { return "tap"; }
-
-  /// Moves the captured window out as a Waveform (stream t0 / dt stamped).
-  [[nodiscard]] analog::Waveform take();
-
- private:
-  std::size_t max_samples_;
-  std::vector<double> captured_;
-  util::Second t0_{0.0};
-  util::Second dt_{1e-12};
+  struct Aggressor {
+    LevelPulseSource source;
+    double gain;
+    std::unique_ptr<channel::Channel::Stream> channel_stream;
+  };
+  std::vector<Aggressor> aggressors_;
+  Block scratch_;
 };
 
 /// Terminal sink: the receiver's sampling elements (DFF slicers at
@@ -198,7 +118,7 @@ class WaveformTapStage final : public Stage {
 /// end-of-stream clamping of Waveform::value_at); a lane whose instant
 /// still waits on the next block never stalls the others' RNG draw order.
 /// Holds O(block + aperture/jitter span) samples regardless of stream
-/// length.  A scalar stream is the one-lane tile.
+/// length.  A single link is the one-lane tile.
 ///
 /// The slicer thresholds are the modulation.  One threshold is NRZ: one
 /// slicer per instant feeding OversamplingCdr::push.  Three thresholds
@@ -244,10 +164,7 @@ class SamplerCdrSink {
   /// Appends one tile and evaluates, per lane, every sampling instant
   /// whose needed neighbourhood is now available.
   void consume(const LaneView& in);
-  void consume(const BlockView& in) {
-    consume(LaneView{in.data, in.size, 1, in.start_index, in.stream_t0,
-                     in.dt, in.last});
-  }
+  void consume(const BlockView& in) { consume(as_tile(in)); }
 
   /// Evaluates the remaining instants with end-of-stream clamping.
   void finish();
@@ -292,12 +209,9 @@ class SamplerCdrSink {
     double dfe_fb_w = 0.0;
   };
 
+  /// Evaluates lane `lane`'s instants while their neighbourhoods (or
+  /// end-of-stream clamping) are available.
   void drain(std::size_t lane);
-  /// Fused availability test + logical-stream interpolation: writes the
-  /// Waveform::value_at-identical sample of lane `lane` into `*v` and
-  /// returns true iff the instant's neighbourhood has arrived (or
-  /// end-of-stream clamping applies).
-  [[nodiscard]] bool fetch(std::size_t lane, util::Second t, double* v) const;
 
   digital::MultiphaseClockGenerator clocks_;  // config-only: shared
   std::vector<Lane> lanes_;

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +13,7 @@
 #include "channel/equalizer.h"
 #include "core/receiver.h"
 #include "core/transmitter.h"
-#include "pipe/stage.h"
+#include "pipe/lane_stages.h"
 #include "pipe/stages.h"
 #include "util/math.h"
 
@@ -237,8 +237,8 @@ namespace {
 
 /// Runs per-bit launch levels through the linear front half of the MC
 /// datapath — TX pulse shaping, the channel model, the optional CTLE and
-/// the RFI output pole — using the exact streaming stages the Monte Carlo
-/// path runs, and returns the resulting sample vector.
+/// the RFI output pole — using the Monte Carlo path's own streaming stages
+/// (the one-lane CTLE tile), and returns the resulting sample vector.
 std::vector<double> run_linear_chain(const core::LinkConfig& cfg,
                                      const channel::Channel& channel,
                                      util::Hertz rfi_bandwidth,
@@ -248,11 +248,10 @@ std::vector<double> run_linear_chain(const core::LinkConfig& cfg,
   pipe::LevelPulseSource source(std::move(levels), cfg.unit_interval(),
                                 cfg.samples_per_ui, rise_time,
                                 util::seconds(0.0), 0.0);
-  pipe::Pipeline pipeline;
-  pipeline.add(std::make_unique<pipe::ChannelStage>(channel.open_stream()));
+  const auto channel_stream = channel.open_stream();
+  std::optional<pipe::LaneCtleStage> ctle;
   if (cfg.rx_ctle_boost.value() > 0.0) {
-    pipeline.add(std::make_unique<pipe::CtleStage>(
-        cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period()));
+    ctle.emplace(cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period(), 1);
   }
   // The RFI output pole is linear in place; the restoring stage's output
   // pole sits after its VTC, but around a marginal decision the whole
@@ -264,8 +263,14 @@ std::vector<double> run_linear_chain(const core::LinkConfig& cfg,
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(source.total_samples()));
   pipe::Block blk;
+  pipe::LaneBlock eq;
   while (source.produce(blk, 16384) > 0) {
-    const pipe::BlockView processed = pipeline.process(blk.view());
+    channel_stream->transmit_block(blk.data(), blk.data(), blk.size());
+    pipe::LaneView processed = pipe::as_tile(blk.view());
+    if (ctle) {
+      ctle->process(processed, eq);
+      processed = eq.view();
+    }
     const std::size_t base = out.size();
     out.resize(base + processed.size);
     if (rx_poles) {
@@ -288,27 +293,25 @@ std::vector<double> run_linear_chain(const core::LinkConfig& cfg,
 /// until the tail is negligible.
 double noise_power_gain(const core::LinkConfig& cfg, util::Hertz rfi_bandwidth,
                         util::Hertz restore_bandwidth, bool rx_poles) {
-  const bool use_ctle = cfg.rx_ctle_boost.value() > 0.0;
-  std::unique_ptr<pipe::CtleStage> ctle;
-  if (use_ctle) {
-    ctle = std::make_unique<pipe::CtleStage>(
-        cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period());
+  std::optional<pipe::LaneCtleStage> ctle;
+  if (cfg.rx_ctle_boost.value() > 0.0) {
+    ctle.emplace(cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period(), 1);
   }
   analog::OnePoleLowPass pole(rfi_bandwidth, cfg.sample_period());
   analog::OnePoleLowPass restore_pole(restore_bandwidth, cfg.sample_period());
 
   constexpr std::size_t kBlock = 4096;
   std::vector<double> buf(kBlock, 0.0);
-  pipe::Block out;
+  pipe::LaneBlock out;
   double total = 0.0;
   buf[0] = 1.0;  // unit impulse in the first block
   for (std::size_t fed = 0; fed < (1u << 22); fed += kBlock) {
-    pipe::BlockView view{buf.data(), kBlock, fed, util::seconds(0.0),
-                         cfg.sample_period(), false};
-    const double* data = view.data;
+    const double* data = buf.data();
     if (ctle) {
-      ctle->process(view, out);
-      data = out.view().data;
+      ctle->process(pipe::LaneView{data, kBlock, 1, fed, util::seconds(0.0),
+                                   cfg.sample_period(), false},
+                    out);
+      data = out.data();
     }
     std::vector<double> filtered(kBlock);
     if (rx_poles) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace serdes::analog {
 namespace {
@@ -50,6 +51,32 @@ TEST(OnePoleLowPass, InvalidParamsThrow) {
   EXPECT_THROW(OnePoleLowPass(util::hertz(0.0), kDt), std::invalid_argument);
   EXPECT_THROW(OnePoleLowPass(util::gigahertz(1.0), util::seconds(0.0)),
                std::invalid_argument);
+}
+
+TEST(OnePoleLowPass, OneLaneKernelMatchesBlockKernelBitForBit) {
+  // The single-lane branch of process_lanes is the datapath every
+  // one-lane run takes: it must equal process_block exactly, over uneven
+  // blocks with the state carried between them.
+  std::vector<double> in(1000);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = std::sin(0.013 * static_cast<double>(i * i)) + 0.25;
+  }
+  OnePoleLowPass block(util::gigahertz(1.0), kDt);
+  const OnePoleLowPass lanes(util::gigahertz(1.0), kDt);
+  double x1 = 0.0;
+  double y1 = 0.0;
+  std::vector<double> expected(in.size());
+  std::vector<double> got(in.size());
+  std::size_t at = 0;
+  for (const std::size_t n : {1u, 7u, 256u, 3u, 733u}) {
+    block.process_block(in.data() + at, expected.data() + at, n);
+    lanes.process_lanes(in.data() + at, got.data() + at, n, 1, &x1, &y1);
+    at += n;
+  }
+  ASSERT_EQ(at, in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(got[i], expected[i]) << "sample " << i;
+  }
 }
 
 TEST(OnePoleHighPass, BlocksDc) {

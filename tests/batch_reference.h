@@ -4,7 +4,7 @@
 // reference below computes the same run the straightforward way — each
 // stage materializes the full waveform — from the public components
 // (Transmitter / TxFfe, Channel::transmit, AwgnSource, RxCtle,
-// Receiver::receive, SerDesLink::finalize_result), with the same seeds and
+// Receiver::receive, core::score_payload), with the same seeds and
 // the same arithmetic, so the streaming pipeline can be checked against it
 // bit for bit.  It covers what the reference chain models: NRZ, fixed EQ
 // (TX FFE, RX CTLE), no DFE and no crosstalk.
@@ -69,16 +69,18 @@ inline core::LinkResult batch_reference_run(
   result.aligned = result.rx.aligned;
   result.decision_threshold = rx.decision_threshold();
 
-  // The streaming taps retain only the first capture_max_samples samples.
-  if (config.capture_waveforms && config.capture_max_samples > 0) {
-    for (analog::Waveform* w : {&result.tx_out, &result.channel_out,
-                                &result.rx.rfi_out, &result.rx.restored}) {
-      if (w->size() > config.capture_max_samples) {
-        w->samples().resize(config.capture_max_samples);
-      }
+  // The streaming taps exist only while capture is on, and retain only the
+  // first capture_max_samples samples.
+  for (analog::Waveform* w : {&result.tx_out, &result.channel_out,
+                              &result.rx.rfi_out, &result.rx.restored}) {
+    if (!config.capture_waveforms) {
+      *w = {};
+    } else if (config.capture_max_samples > 0 &&
+               w->size() > config.capture_max_samples) {
+      w->samples().resize(config.capture_max_samples);
     }
   }
-  core::SerDesLink::finalize_result(config, payload, result);
+  core::score_payload(config, payload, result);
   return result;
 }
 

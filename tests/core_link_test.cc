@@ -7,6 +7,7 @@
 #include "api/channel_factory.h"
 #include "channel/channel.h"
 #include "core/ber.h"
+#include "core/lane_link.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -97,7 +98,7 @@ TEST(Link, TruncatedTailCountsAsErrorsBeyondCdrAllowance) {
   // Payload bits the receiver never delivered at the end of an aligned run
   // must count as errors beyond the small CDR pipeline allowance, or deep
   // BER sweeps would silently credit truncated chunks as error-free
-  // coverage.  Pinned on finalize_result directly: a correct prefix with a
+  // coverage.  Pinned on score_payload directly: a correct prefix with a
   // 40-bit short tail.
   util::PrbsGenerator prbs(util::PrbsOrder::kPrbs15);
   const auto payload = prbs.next_bits(2048);
@@ -112,7 +113,7 @@ TEST(Link, TruncatedTailCountsAsErrorsBeyondCdrAllowance) {
   };
 
   LinkResult r = truncated(kShort, true);
-  SerDesLink::finalize_result(LinkConfig::paper_default(), payload, r);
+  score_payload(LinkConfig::paper_default(), payload, r);
   EXPECT_EQ(r.bit_errors, kShort - kAllow);
   EXPECT_EQ(r.payload_bits_compared, payload.size() - kAllow);
   EXPECT_DOUBLE_EQ(r.ber, static_cast<double>(kShort - kAllow) /
@@ -120,13 +121,13 @@ TEST(Link, TruncatedTailCountsAsErrorsBeyondCdrAllowance) {
 
   // A tail within the allowance costs nothing.
   r = truncated(kAllow, true);
-  SerDesLink::finalize_result(LinkConfig::paper_default(), payload, r);
+  score_payload(LinkConfig::paper_default(), payload, r);
   EXPECT_EQ(r.bit_errors, 0u);
   EXPECT_EQ(r.payload_bits_compared, payload.size() - kAllow);
 
   // Unaligned runs are not charged here (measure_ber charges the chunk).
   r = truncated(kShort, false);
-  SerDesLink::finalize_result(LinkConfig::paper_default(), payload, r);
+  score_payload(LinkConfig::paper_default(), payload, r);
   EXPECT_EQ(r.bit_errors, 0u);
   EXPECT_EQ(r.payload_bits_compared, payload.size() - kShort);
 
@@ -134,7 +135,7 @@ TEST(Link, TruncatedTailCountsAsErrorsBeyondCdrAllowance) {
   LinkConfig pam4 = LinkConfig::paper_default();
   pam4.modulation = LinkConfig::Modulation::kPam4;
   r = truncated(kShort, true);
-  SerDesLink::finalize_result(pam4, payload, r);
+  score_payload(pam4, payload, r);
   EXPECT_EQ(r.bit_errors, kShort - 2 * kAllow);
 }
 
@@ -205,6 +206,49 @@ TEST(Link, DeterministicAcrossRuns) {
   const auto rb = b.run_prbs(1024);
   EXPECT_EQ(ra.bit_errors, rb.bit_errors);
   EXPECT_EQ(ra.rx.recovered_bits, rb.rx.recovered_bits);
+}
+
+void expect_same_waveform(const analog::Waveform& a, const analog::Waveform& b,
+                          const char* what) {
+  EXPECT_EQ(a.start_time().value(), b.start_time().value()) << what;
+  EXPECT_EQ(a.sample_period().value(), b.sample_period().value()) << what;
+  EXPECT_EQ(a.samples(), b.samples()) << what;
+}
+
+TEST(LaneLink, FirstChunkCaptureMatchesOneLaneLinkPerSeed) {
+  // Every lane of a tile taps all four capture points — TX launch,
+  // post-AWGN channel output, RFI output and sampler input — exactly as a
+  // one-lane link with that lane's seed does.
+  LinkConfig cfg = LinkConfig::paper_default();
+  cfg.channel_noise_rms = 0.002;
+  cfg.rx_ctle_boost = util::decibels(3.0);
+  cfg.capture_waveforms = true;
+  cfg.capture_max_samples = 0;  // the whole chunk
+  constexpr std::uint64_t kBits = 512;
+  const std::vector<std::uint64_t> seeds{7, 1234, 99};
+  LaneLink tile(cfg, flat(20.0), seeds);
+  const std::vector<LaneOutcome> lanes =
+      tile.measure(kBits, kBits, 0.95, cfg.prbs_order);
+  ASSERT_EQ(lanes.size(), seeds.size());
+  for (std::size_t l = 0; l < seeds.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    LinkConfig one = cfg;
+    one.noise_seed = seeds[l];
+    SerDesLink link(one, flat(20.0));
+    util::PrbsGenerator prbs(cfg.prbs_order);
+    const LinkResult r = link.run(prbs.next_bits(kBits));
+    const LaneOutcome& o = lanes[l];
+    ASSERT_FALSE(r.rx.rfi_out.samples().empty());
+    expect_same_waveform(o.tx_out, r.tx_out, "tx_out");
+    expect_same_waveform(o.channel_out, r.channel_out, "channel_out");
+    expect_same_waveform(o.rfi_out, r.rx.rfi_out, "rfi_out");
+    expect_same_waveform(o.restored, r.rx.restored, "restored");
+    EXPECT_EQ(o.rx_swing_pp, r.rx_swing_pp);
+    EXPECT_EQ(o.decision_threshold, r.decision_threshold);
+  }
+  // The lanes carry distinct noise, so the comparison is not vacuous.
+  EXPECT_NE(lanes[0].channel_out.samples(), lanes[1].channel_out.samples());
+  EXPECT_NE(lanes[0].rfi_out.samples(), lanes[1].rfi_out.samples());
 }
 
 TEST(Ber, UpperBoundZeroErrors) {

@@ -1,9 +1,10 @@
 // Lane-tiling bit-identity contract (tier1): the SoA batched path —
 // shared TX/channel instruction stream, per-lane AWGN/CTLE/RFI/restore
 // state vectors, lane-batched sampler/CDR sink — must produce RunReports
-// that are BYTE-identical to the scalar per-lane path, for every
-// built-in channel kind, at any lane count (including ragged tails) and
-// any thread count.  Identity is compared on to_json(report).dump(), so
+// that are BYTE-identical to running every lane as its own one-lane link
+// (lane_tiling = false), for every built-in channel kind, both
+// modulations, at any lane count (including ragged tails) and any thread
+// count.  Identity is compared on to_json(report).dump(), so
 // every field (BER statistics, lock diagnostics, eye metrics, captured
 // waveform samples) participates in the contract.
 #include <gtest/gtest.h>
@@ -99,6 +100,46 @@ TEST(LaneBatch, BitIdenticalToScalarForEveryChannelKind) {
               << threads << " threads, lane " << i;
         }
       }
+    }
+  }
+}
+
+TEST(LaneBatch, Pam4WithFixedDfeBitIdenticalToOneLaneLinks) {
+  // PAM4 tiles: three slicers per lane at the thresholds calibrated on
+  // the shared noise-free head, live DFE feedback, the eye folded per
+  // symbol — with captured waveforms, so every lane's report pins them.
+  LinkSpec spec = LinkBuilder()
+                      .name("pam4")
+                      .modulation("pam4")
+                      .channel(ChannelSpec::fir({0.7, 0.25}))
+                      .noise_rms(0.01)
+                      .rx_ctle(util::decibels(2.0))
+                      .dfe({0.22, 0.01})
+                      .sinusoidal_jitter(util::seconds(2e-12))
+                      .payload_bits(2048)
+                      .chunk_bits(1024)
+                      .lane_batch(8)
+                      .capture_waveforms()
+                      .build_spec();
+  ASSERT_TRUE(Simulator::tile_eligible(spec));
+  Simulator::Options untiled_options;
+  untiled_options.lane_tiling = false;
+  const Simulator untiled(untiled_options);
+  const Simulator tiled;
+  for (const int lanes : {1, 3, 8}) {
+    std::vector<LinkSpec> specs;
+    for (int i = 0; i < lanes; ++i) {
+      spec.name = "pam4_lane" + std::to_string(i);
+      specs.push_back(spec);
+    }
+    const std::vector<RunReport> reference = untiled.run_batch(specs, 1);
+    ASSERT_TRUE(reference[0].aligned) << lanes << " lanes";
+    ASSERT_GT(reference[0].bits, 0u);
+    const std::vector<std::string> batched = render_batch(tiled, specs, 2);
+    ASSERT_EQ(batched.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(batched[i], to_json(reference[i]).dump())
+          << lanes << " lanes, lane " << i;
     }
   }
 }
@@ -210,11 +251,13 @@ TEST(LaneBatch, TileEligibilityRequiresMonteCarlo) {
   spec.analysis = "mc";
   spec.lane_batch = 1;
   EXPECT_FALSE(Simulator::tile_eligible(spec));
-  // PAM4 runs on the scalar streaming path — the SoA tile kernels are
-  // two-level; a pam4 spec must never group into a tile.
+  // PAM4 is only a slicer-threshold count to the tile: it tiles.
   spec.lane_batch = 8;
   spec.modulation = "pam4";
   spec.tx_ffe_deemphasis = 0.0;
+  EXPECT_TRUE(Simulator::tile_eligible(spec));
+  // Trained lanes each train their own EQ: no shared physics to tile.
+  spec.eq = "trained";
   EXPECT_FALSE(Simulator::tile_eligible(spec));
 }
 

@@ -236,6 +236,8 @@ TEST(LintRules, IneffectiveField) {
   spec = api::LinkSpec{};
   spec.lane_batch = 8;  // NRZ "mc": tiling live, no finding
   expect_no_finding(Linter().lint(spec), "ineffective-field");
+  spec.modulation = "pam4";  // PAM4 "mc" tiles too
+  expect_no_finding(Linter().lint(spec), "ineffective-field");
 }
 
 TEST(LintRules, ChunkExceedsPayload) {

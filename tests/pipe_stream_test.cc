@@ -17,7 +17,6 @@
 #include "channel/channel.h"
 #include "core/link.h"
 #include "pipe/lane_block.h"
-#include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/prbs.h"
 
